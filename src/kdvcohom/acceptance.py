@@ -45,7 +45,7 @@ from .kdvpencil import (
     h_op,
     pencil_filtered_slice,
 )
-from .linwin import DEFAULT_LADDER, Window, enumerate_piece_basis, solve
+from .linwin import DEFAULT_LADDER, Window, enumerate_piece_basis, quotient_coordinates
 from .specseq import PageEntry, converge_check, homology_at, page, page_dr_matrix
 from .varcalc import OperatorSpec, delta_theta, delta_u, schouten
 
@@ -101,6 +101,23 @@ def _first_failure(battery, op) -> Optional[str]:
     return None
 
 
+def _homotopy_identity(w: Window):
+    """Check h d + d h = 1 on page one, one basis element at a time.
+
+    Yields (p, q, monomial, holds) over totals p + q <= _MAX_TOTAL, in
+    canonical order, skipping the singular position (1, 2).
+    """
+    for p in range(1, _MAX_TOTAL):
+        for q in range(2, _MAX_TOTAL + 1 - p):
+            if (p, q) == (1, 2):
+                continue
+            for m in e1_basis(p, q, w).monomials:
+                x = DiffPoly.monomial(m, F1)
+                lhs = h_op(d1_explicit(x, q), p + 1, q) \
+                    + d1_explicit(h_op(x, p, q), q)
+                yield p, q, m, not (lhs - x).terms
+
+
 def run_verify_suite(name: str, max_d: int = 6, window: Window = Window(3, 2),
                      second_structure: Optional[OperatorSpec] = None) -> CheckResult:
     """One named operator-identity suite over the window monomial battery.
@@ -145,21 +162,10 @@ def run_verify_suite(name: str, max_d: int = 6, window: Window = Window(3, 2),
             culprit = _first_failure(battery, lambda x: delta_theta(dtot(x)))
     elif name == "homotopy_identity":
         checked = 0
-        for p in range(1, _MAX_TOTAL):
-            for q in range(2, _MAX_TOTAL + 1 - p):
-                if (p, q) == (1, 2):
-                    continue
-                for m in e1_basis(p, q, window).monomials:
-                    x = DiffPoly.monomial(m, F1)
-                    lhs = h_op(d1_explicit(x, q), p + 1, q) \
-                        + d1_explicit(h_op(x, p, q), q)
-                    checked += 1
-                    if (lhs - x).terms:
-                        culprit = m.format() or "1"
-                        break
-                if culprit:
-                    break
-            if culprit:
+        for _, _, m, ok in _homotopy_identity(window):
+            checked += 1
+            if not ok:
+                culprit = m.format() or "1"
                 break
         scope = f"{checked} page-one basis elements away from the singular spot"
     passed = culprit is None
@@ -196,13 +202,8 @@ def _page_coords(entry: PageEntry, a: DiffPoly) -> Optional[List[Fraction]]:
     """Coordinates of a polynomial's class over a page entry's representatives."""
     if entry.basis is None or not entry.basis.monomials:
         return [] if not a.terms else None
-    w = entry.basis.vector_of(a)
-    gens = [list(v) for v, _ in entry.reps] + [list(r) for r in entry.relation_rows]
-    if not gens:
-        return [] if not any(w) else None
-    rows = [[g[i] for g in gens] for i in range(len(entry.basis))]
-    x = solve(rows, w)
-    return None if x is None else x[:entry.dim]
+    return quotient_coordinates([v for v, _ in entry.reps], entry.relation_rows,
+                                entry.basis.vector_of(a))
 
 
 # -- criteria ------------------------------------------------------------------
@@ -293,20 +294,12 @@ def check_page_one_differential() -> Tuple[bool, str]:
 
 def check_contracting_homotopy() -> Tuple[bool, str]:
     """The weighted homotopy inverts page one away from its singular position."""
-    w = Window(3, 2)
     bad = []
     checked = 0
-    for p in range(1, _MAX_TOTAL):
-        for q in range(2, _MAX_TOTAL + 1 - p):
-            if (p, q) == (1, 2):
-                continue
-            for m in e1_basis(p, q, w).monomials:
-                x = DiffPoly.monomial(m, F1)
-                lhs = h_op(d1_explicit(x, q), p + 1, q) \
-                    + d1_explicit(h_op(x, p, q), q)
-                checked += 1
-                if (lhs - x).terms:
-                    bad.append((p, q, m.format() or "1"))
+    for p, q, m, ok in _homotopy_identity(Window(3, 2)):
+        checked += 1
+        if not ok:
+            bad.append((p, q, m.format() or "1"))
     try:
         h_op(poly("u1 t0 t2"), 1, 2)
         positional = False

@@ -18,17 +18,17 @@ from typing import List, Optional, Sequence, Tuple
 from .acceptance import (
     ALL_CHECKS,
     VERIFY_SUITES,
+    _MAX_TOTAL,
     format_results,
     run_acceptance,
     run_verify_suite,
     windowed_page_count,
 )
 from .algebra import Bidegree, format_poly
-from .cohomeng import KINDS, dims_table, p_bound, piece_count_range, piece_homology
-from .linwin import DEFAULT_LADDER, Window
+from .cohomeng import KINDS, dims_table, piece_count_range, piece_homology
+from .linwin import DEFAULT_LADDER, Window, window_reps
 
 _SCHEMA = 1
-_MAX_TOTAL = 6
 
 
 def _parse_window(text: str) -> Window:
@@ -62,14 +62,9 @@ def _windowed_reps(kind: str, p: int, d: int, w: Window) -> List[str]:
     out = []
     for c in piece_count_range(kind, d, w):
         ph = piece_homology(kind, p, d, c)
-        for vec, m in ph.reps:
-            if m is not None:
-                if m.in_window(w.N, w.L):
-                    out.append(m.format() or "1")
-            else:
-                monos = [ph.basis.monomials[i] for i, x in enumerate(vec) if x]
-                if all(mm.in_window(w.N, w.L) for mm in monos):
-                    out.append(format_poly(ph.basis.poly_of(list(vec))) or "1")
+        for vec, m in window_reps(ph.basis, ph.reps, w):
+            text = m.format() if m is not None else format_poly(ph.basis.poly_of(vec))
+            out.append(text or "1")
     return out
 
 

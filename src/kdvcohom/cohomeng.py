@@ -43,12 +43,14 @@ from .linwin import (
     enumerate_piece_basis,
     nullspace,
     operator_matrix,
+    quotient_coordinates,
     quotient_representatives,
     rank_of,
     reduce_against,
     rref,
     solve,
     stabilized_dims,
+    window_reps,
 )
 
 KINDS = ("dlambda_A", "dlambda_Q", "dlambda_F", "d1_A", "bh_A", "bh_F")
@@ -81,7 +83,6 @@ class PieceHomology:
     bidegree: Bidegree
     ucount: int
     basis: SliceBasis
-    presentation_rank: int
     cocycle_rank: int
     boundary_rank: int
     dim: int
@@ -89,16 +90,7 @@ class PieceHomology:
     relation_rows: Tuple[Tuple[Fraction, ...], ...]
 
     def window_count(self, w: Window) -> int:
-        n = 0
-        for vec, m in self.reps:
-            if m is not None:
-                if m.in_window(w.N, w.L):
-                    n += 1
-            else:
-                monos = [mm for j, mm in enumerate(self.basis.monomials) if vec[j]]
-                if all(mm.in_window(w.N, w.L) for mm in monos):
-                    n += 1
-        return n
+        return len(window_reps(self.basis, self.reps, w))
 
     def rep_polys(self) -> List[DiffPoly]:
         return [self.basis.poly_of(vec) for vec, _ in self.reps]
@@ -205,11 +197,11 @@ def piece_homology(kind: str, p: int, d: int, c: int) -> PieceHomology:
         kernel, image = _single_complex(kind, p, d, c)
     rel_red, _ = rref(list(image) + list(presentation))
     reps = quotient_representatives(basis, kernel, rel_red)
-    coc_rank = rank_of(kernel)
+    # a canonical kernel basis is independent, so its length is the rank
+    coc_rank = len(kernel)
     bnd_rank = len(rel_red)
     return PieceHomology(
         kind=kind, bidegree=Bidegree(p, d), ucount=c, basis=basis,
-        presentation_rank=rank_of(presentation),
         cocycle_rank=coc_rank, boundary_rank=bnd_rank,
         dim=coc_rank - bnd_rank,
         reps=tuple((tuple(v), m) for v, m in reps),
@@ -253,13 +245,8 @@ def class_coords(ph: PieceHomology, candidate: DiffPoly) -> Optional[List[Fracti
 
     None when the candidate does not lie in the cocycle span at all.
     """
-    w = ph.basis.vector_of(candidate)
-    gens = [list(v) for v, _ in ph.reps] + [list(r) for r in ph.relation_rows]
-    if not gens:
-        return [] if not any(w) else None
-    rows = [[g[i] for g in gens] for i in range(len(ph.basis))]
-    x = solve(rows, w)
-    return None if x is None else x[:ph.dim]
+    return quotient_coordinates([v for v, _ in ph.reps], ph.relation_rows,
+                                ph.basis.vector_of(candidate))
 
 
 # -- the two theories side by side -----------------------------------------

@@ -94,11 +94,6 @@ def subcomplex_bidegrees(k: int) -> List[Bidegree]:
     return out
 
 
-def top_degree(k: int) -> Optional[int]:
-    bds = subcomplex_bidegrees(k)
-    return bds[-1].d if bds else None
-
-
 # -- page zero -------------------------------------------------------------
 
 
@@ -253,11 +248,6 @@ def u_weight(m: Monomial) -> Fraction:
     for s in m.odd:
         w += Fraction(s - 1, 2)
     return w
-
-
-def U_op(a: DiffPoly) -> DiffPoly:
-    """The weighting operator itself, diagonal on monomials."""
-    return DiffPoly({m: c * u_weight(m) for m, c in a.terms.items()})
 
 
 def h_op(x: DiffPoly, p: int, q: int) -> DiffPoly:

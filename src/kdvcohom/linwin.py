@@ -3,9 +3,15 @@
 A slice is the span of all monomials of a fixed bidegree subject to bounds:
 either a reporting window (u-power <= N, l-power <= L, jets unconstrained)
 or a fixed even-factor count (ucount), which cuts out a genuinely finite
-piece preserved by the pencil differentials.  All eliminations run over
-Fraction with deterministic pivoting in the canonical monomial order; no
-floating point, no probabilistic shortcuts.
+piece preserved by the pencil differentials.
+
+Every elimination runs through one kernel, the Echelon class: a span kept
+as sparse Fraction rows in fully reduced row echelon form, pivoting on the
+first nonzero column in the canonical monomial order.  rref, rank_of,
+reduce_against, in_span, solve, nullspace, intersect_with_coordinates and
+quotient_representatives are thin dense views of it.  The reduced form of
+a span is unique, so every result is canonical; no floating point, no
+probabilistic shortcuts.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import Bidegree, DiffPoly, Monomial, ONE_MONO
+from .algebra import Bidegree, DiffPoly, Monomial
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -91,6 +97,20 @@ class SliceBasis:
         p, d = self.bidegree
         tag = self.label or (f"window {self.window}" if self.window else "")
         return f"(p={p}, d={d}) {tag}".strip()
+
+
+def window_reps(basis: SliceBasis, reps, w: Window
+                ) -> List[Tuple[Sequence[Fraction], Optional[Monomial]]]:
+    """The (vector, monomial-or-None) representatives inside a window.
+
+    A representative counts when every monomial it touches lies in the
+    window; for a single-monomial representative that is just window
+    membership of the monomial.
+    """
+    return [(vec, m) for vec, m in reps
+            if (m.in_window(w.N, w.L) if m is not None else
+                all(mm.in_window(w.N, w.L)
+                    for mm, x in zip(basis.monomials, vec) if x))]
 
 
 @lru_cache(maxsize=None)
@@ -174,74 +194,106 @@ def enumerate_piece_basis(bd: Bidegree, ucount: int, include_lambda: bool = True
 # -- exact elimination ----------------------------------------------------
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form with deterministic first-nonzero pivoting.
+class Echelon:
+    """A span held as sparse rows in fully reduced row echelon form.
 
-    Returns (nonzero rows, pivot column list).  Input rows are not mutated.
-    Rows are held as col->coeff dicts during elimination; most matrices
-    here are images of local differential operators and are very sparse,
-    so this avoids arithmetic on structural zeros.
+    Rows are col -> Fraction dicts keyed by their pivot, the first nonzero
+    column; every pivot entry is 1 and no row touches another row's pivot.
+    Rows go in one at a time as dense sequences, so extending a span never
+    repeats the work already done on it, and the form reached does not
+    depend on the order the rows came in.  This is the only place in the
+    package where multiples of rows are subtracted.
     """
-    ncols = 0
-    work = []
-    for row in rows:
-        ncols = len(row)
-        d = {j: x for j, x in enumerate(row) if x}
-        if d:
-            work.append(d)
-    if not work:
-        return [], []
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if col in work[i]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        prow = work[r]
-        pv = prow[col]
+
+    def __init__(self, ncols: int, rows: Sequence[Sequence[Fraction]] = ()):
+        self.ncols = ncols
+        self._rows: Dict[int, Dict[int, Fraction]] = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _reduced(self, row: Sequence[Fraction]) -> Dict[int, Fraction]:
+        v = {j: x for j, x in enumerate(row) if x}
+        # a pivot row is zero on every other pivot, so one pass suffices
+        for pc in [j for j in v if j in self._rows]:
+            f = v[pc]
+            for j, b in self._rows[pc].items():
+                nv = v.get(j, F0) - f * b
+                if nv:
+                    v[j] = nv
+                else:
+                    del v[j]
+        return v
+
+    def add(self, row: Sequence[Fraction]) -> bool:
+        """Extend the span by row; False when row already lies in it."""
+        v = self._reduced(row)
+        if not v:
+            return False
+        pc = min(v)
+        pv = v[pc]
         if pv != 1:
-            work[r] = prow = {j: x / pv for j, x in prow.items()}
-        for i in range(len(work)):
-            if i != r:
-                wi = work[i]
-                f = wi.get(col)
-                if f:
-                    for j, b in prow.items():
-                        nv = wi.get(j, F0) - f * b
-                        if nv:
-                            wi[j] = nv
-                        else:
-                            wi.pop(j, None)
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    out = []
-    for d in work[:r]:
-        row = [F0] * ncols
-        for j, x in d.items():
-            row[j] = x
-        out.append(row)
-    return out, pivots
+            v = {j: x / pv for j, x in v.items()}
+        for other in self._rows.values():
+            f = other.get(pc)
+            if f:
+                for j, b in v.items():
+                    nv = other.get(j, F0) - f * b
+                    if nv:
+                        other[j] = nv
+                    else:
+                        del other[j]
+        self._rows[pc] = v
+        return True
+
+    def reduce(self, row: Sequence[Fraction]) -> List[Fraction]:
+        """row minus its component in the span; zero at every pivot."""
+        return self._dense(self._reduced(row))
+
+    def contains(self, row: Sequence[Fraction]) -> bool:
+        return not self._reduced(row)
+
+    def items(self) -> List[Tuple[int, Dict[int, Fraction]]]:
+        """(pivot, sparse row) pairs in pivot order."""
+        return sorted(self._rows.items())
+
+    def pivots(self) -> List[int]:
+        return sorted(self._rows)
+
+    def dense(self) -> List[List[Fraction]]:
+        """The rows as dense lists in pivot order."""
+        return [self._dense(row) for _, row in self.items()]
+
+    def _dense(self, row: Dict[int, Fraction]) -> List[Fraction]:
+        out = [F0] * self.ncols
+        for j, x in row.items():
+            out[j] = x
+        return out
+
+
+def rref(rows: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form of equal-length dense rows.
+
+    Returns (nonzero rows, pivot column list), both in pivot order; the
+    pivot of a row is its first nonzero column.  Input rows are not
+    mutated.  The form is the one an Echelon reaches on the rows.
+    """
+    ech = Echelon(len(rows[0]) if rows else 0, rows)
+    return ech.dense(), ech.pivots()
 
 
 def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+    return len(Echelon(len(rows[0]) if rows else 0, rows))
 
 
 def reduce_against(rref_rows, pivots, vec: Sequence[Fraction]) -> List[Fraction]:
     """Subtract the span of an rref basis from vec; result has no pivots."""
-    v = list(vec)
-    for row, pc in zip(rref_rows, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [a - f * b if b else a for a, b in zip(v, row)]
-    return v
+    # only the basis rows whose pivots vec touches take part; rows already
+    # in reduced form go into an Echelon without any arithmetic
+    ech = Echelon(len(vec), [row for row, pc in zip(rref_rows, pivots) if vec[pc]])
+    return ech.reduce(vec)
 
 
 def in_span(rref_rows, pivots, vec: Sequence[Fraction]) -> bool:
@@ -258,65 +310,66 @@ def solve(rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
     if m == 0:
         return [] if not any(b) else None
     n = len(rows[0])
-    aug = [list(rows[i]) + [Fraction(b[i])] for i in range(m)]
-    red, pivots = rref(aug)
+    ech = Echelon(n + 1, [list(rows[i]) + [Fraction(b[i])] for i in range(m)])
     x = [F0] * n
-    for row, pc in zip(red, pivots):
+    for pc, row in ech.items():
         if pc == n:
             return None
-        x[pc] = row[n]
+        x[pc] = row.get(n, F0)
     return x
+
+
+def quotient_coordinates(reps, relations, vec: Sequence[Fraction]):
+    """Coordinates of vec over the rows reps, modulo the span of relations.
+
+    None when vec lies outside span(reps + relations).  With no reps the
+    answer is [] exactly when vec lies in the span of the relations.
+    """
+    x = solve(list(zip(*reps, *relations)), vec)
+    return None if x is None else x[:len(reps)]
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Canonical kernel basis of the matrix given by rows (maps R^ncols -> R^m)."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
+    ech = Echelon(ncols, rows)
+    pivot_rows = ech.items()
+    pivot_set = set(ech.pivots())
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = [F0] * ncols
         v[free] = F1
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[free]
+        for pc, row in pivot_rows:
+            v[pc] = -row.get(free, F0)
         basis.append(v)
     return basis
 
 
-def columns_to_rows(cols: Sequence[dict], nrows: int) -> List[List[Fraction]]:
-    """Sparse columns (row index -> coeff) to a dense row matrix."""
-    rows = [[F0] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            rows[i][j] = c
-    return rows
-
-
 def intersect_with_coordinates(rows, allowed_idx) -> List[List[Fraction]]:
-    """Basis of span(rows) intersected with {v : v_j = 0 for j not allowed}."""
+    """Basis of span(rows) intersected with {v : v_j = 0 for j not allowed}.
+
+    One elimination with the banned columns ordered first: a reduced row
+    whose pivot is an allowed column vanishes on every banned column, and
+    those rows span the intersection.  They come back in the original
+    column order as the reduced echelon basis of the intersection.
+    """
     live = [r for r in rows if any(r)]
     if not live:
         return []
     n = len(live[0])
     allowed = set(allowed_idx)
     banned = [j for j in range(n) if j not in allowed]
-    if not banned:
-        red, _ = rref(live)
-        return red
-    # kernel of y -> (y @ rows) restricted to the banned coordinates
-    constraint = [[live[i][j] for i in range(len(live))] for j in banned]
-    ys = nullspace(constraint, len(live))
+    order = banned + [j for j in range(n) if j in allowed]
+    ech = Echelon(n, [[r[j] for j in order] for r in live])
     out = []
-    for y in ys:
-        v = [F0] * n
-        for yi, row in zip(y, live):
-            if yi:
-                v = [a + yi * b for a, b in zip(v, row)]
-        if any(v):
+    for pc, row in ech.items():
+        if pc >= len(banned):
+            v = [F0] * n
+            for j, x in row.items():
+                v[order[j]] = x
             out.append(v)
-    red, _ = rref(out)
-    return red
+    return out
 
 
 @dataclass
@@ -340,7 +393,11 @@ class OperatorMatrix:
         return out
 
     def dense_rows(self) -> List[List[Fraction]]:
-        return columns_to_rows(self.cols, len(self.codomain))
+        rows = [[F0] * len(self.cols) for _ in range(len(self.codomain))]
+        for j, col in enumerate(self.cols):
+            for i, c in col.items():
+                rows[i][j] = c
+        return rows
 
     def rank(self) -> int:
         return rank_of(self.image_rows())
@@ -360,17 +417,6 @@ class OperatorMatrix:
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
-
-    def export_triplets(self) -> str:
-        """Plain text (row, col, value) triplets, canonically ordered."""
-        lines = [
-            f"# {self.domain.describe()} -> {self.codomain.describe()}",
-            f"# shape {len(self.codomain)} x {len(self.domain)}",
-        ]
-        for j, col in enumerate(self.cols):
-            for i in sorted(col):
-                lines.append(f"{i} {j} {col[i]}")
-        return "\n".join(lines) + "\n"
 
 
 def operator_matrix(op: Callable[[DiffPoly], DiffPoly], domain: SliceBasis,
@@ -395,72 +441,36 @@ class HomologyDims(NamedTuple):
     homology: int
 
 
-def _same_basis(a: SliceBasis, b: SliceBasis) -> bool:
-    return a.monomials == b.monomials
-
-
-def homology_dims(d_in: OperatorMatrix, d_out: OperatorMatrix) -> HomologyDims:
-    """dim ker(d_out) - rank(d_in) at the middle slice of a two-step complex.
-
-    Both matrices must share the middle basis and compose to zero; the
-    composite is checked exactly and a nonzero product is an error, never
-    a warning.
-    """
-    if not _same_basis(d_in.codomain, d_out.domain):
-        raise CompositionError(
-            f"middle bases differ: {d_in.codomain.describe()} vs {d_out.domain.describe()}"
-        )
-    for j, col in enumerate(d_in.cols):
-        if not col:
-            continue
-        vec = [F0] * len(d_in.codomain)
-        for i, c in col.items():
-            vec[i] = c
-        if any(d_out.apply_to_vector(vec)):
-            m = d_in.domain.monomials[j]
-            raise CompositionError(f"d_out o d_in != 0 on {m.format() or '1'}")
-    ker = len(d_out.domain) - rank_of(d_out.image_rows())
-    img = rank_of(d_in.image_rows())
-    return HomologyDims(ker, img, ker - img)
-
-
 def quotient_representatives(ambient: SliceBasis, space_rows, relation_rows):
     """Deterministic transversal of span(space)/span(relations).
 
     Relations must span a subspace of the space (checked).  Preference is
     given to single monomials in canonical order, so whenever the quotient
     admits a monomial transversal the representatives are plain monomials;
-    otherwise canonical kernel-basis vectors fill the remainder.
+    otherwise reduced space rows fill the remainder.  One echelon of the
+    relations is extended by each accepted candidate.
 
     Returns a list of (vector, monomial-or-None) pairs.
     """
-    space_red, space_piv = rref(space_rows)
-    rel_red, rel_piv = rref(relation_rows)
-    for row in rel_red:
-        if not in_span(space_red, space_piv, row):
-            raise CompositionError("relations are not contained in the space")
-    target = len(space_red) - len(rel_red)
-    acc = [list(r) for r in rel_red]
+    n = len(ambient)
+    space = Echelon(n, space_rows)
+    acc = Echelon(n, relation_rows)
+    if not all(space.contains(row) for row in relation_rows):
+        raise CompositionError("relations are not contained in the space")
+    target = len(space) - len(acc)
     reps = []
-    if target > 0:
-        n = len(ambient)
-        for j, m in enumerate(ambient.monomials):
-            if len(reps) == target:
-                break
-            e = [F0] * n
-            e[j] = F1
-            if not in_span(space_red, space_piv, e):
-                continue
-            if rank_of(acc + [e]) > len(rref(acc)[0]):
-                acc.append(e)
-                reps.append((e, m))
-        if len(reps) < target:
-            for row in space_red:
-                if len(reps) == target:
-                    break
-                if rank_of(acc + [list(row)]) > len(rref(acc)[0]):
-                    acc.append(list(row))
-                    reps.append((list(row), None))
+    for j, m in enumerate(ambient.monomials):
+        if len(reps) >= target:
+            break
+        e = [F0] * n
+        e[j] = F1
+        if space.contains(e) and acc.add(e):
+            reps.append((e, m))
+    for row in space.dense():
+        if len(reps) >= target:
+            break
+        if acc.add(row):
+            reps.append((row, None))
     if len(reps) != target:
         raise CompositionError("failed to complete a quotient transversal")
     return reps
@@ -502,9 +512,7 @@ def _fit_affine(points, use_n: bool, use_l: bool):
                      F1])
         rhs.append(Fraction(dim))
     # solve least-structure system exactly: find any solution, then verify
-    ncols = 3
-    mat = [r[:] for r in rows]
-    sol = solve(mat, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         return None
     a, b, c = sol

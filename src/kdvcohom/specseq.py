@@ -19,19 +19,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .algebra import Monomial
 from .linwin import (
     CompositionError,
     HomologyDims,
     OperatorMatrix,
     SliceBasis,
     Window,
-    in_span,
     intersect_with_coordinates,
     nullspace,
+    quotient_coordinates,
     quotient_representatives,
     rank_of,
     rref,
-    solve,
+    window_reps,
 )
 
 F0 = Fraction(0)
@@ -81,8 +82,10 @@ class FilteredSlice:
                     if lv_cod and lv_cod[i] < self.levels[n][j]:
                         raise CompositionError(
                             f"level drops along the differential at degree {n}")
-            d2 = self.diffs.get(n + 1)
-            if d2 is not None:
+        # composites only once every shape is known to match
+        for n in self.degrees:
+            d, d2 = self.diffs.get(n), self.diffs.get(n + 1)
+            if d is not None and d2 is not None:
                 for col in d.cols:
                     vec = [F0] * len(d.codomain)
                     for i, c in col.items():
@@ -183,39 +186,26 @@ def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[List[Fraction]]:
     return red
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageEntry:
-    """One spectral sequence entry with a deterministic transversal."""
+    """One spectral sequence entry with a deterministic transversal.
+
+    Entries are cached and shared, so every field is immutable.
+    """
 
     r: int
     p: int
     q: int
     dim: int
-    reps: List[Tuple[List[Fraction], Optional[object]]]
-    cocycle_rows: List[List[Fraction]]
-    relation_rows: List[List[Fraction]]
+    reps: Tuple[Tuple[Tuple[Fraction, ...], Optional[Monomial]], ...]
+    cocycle_rows: Tuple[Tuple[Fraction, ...], ...]
+    relation_rows: Tuple[Tuple[Fraction, ...], ...]
     basis: Optional[SliceBasis]
 
     def window_count(self, w: Window) -> int:
-        """Number of canonical representatives inside the reporting window.
-
-        A representative counts when every monomial it touches lies in the
-        window; for the preferred single-monomial representatives this is
-        just window membership of the monomial.
-        """
-        count = 0
-        for vec, m in self.reps:
-            if m is not None:
-                if m.in_window(w.N, w.L):
-                    count += 1
-            else:
-                monos = [self.basis.monomials[i] for i, x in enumerate(vec) if x]
-                if all(mm.in_window(w.N, w.L) for mm in monos):
-                    count += 1
-        return count
+        return len(window_reps(self.basis, self.reps, w))
 
     def rep_polys(self):
-        from .algebra import DiffPoly
         return [self.basis.poly_of(vec) for vec, _ in self.reps]
 
 
@@ -225,13 +215,13 @@ def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
     n = p + q
     basis = fs.bases.get(n)
     if basis is None or not basis.monomials:
-        return PageEntry(r, p, q, 0, [], [], [], basis)
+        return PageEntry(r, p, q, 0, (), (), (), basis)
     z = z_rows(fs, r, p, n)
     rel = b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n)
     red_rel, _ = rref(rel)
     reps = quotient_representatives(basis, z, red_rel)
-    dim = len(reps)
-    return PageEntry(r, p, q, dim, reps, z, red_rel, basis)
+    return PageEntry(r, p, q, len(reps), tuple((tuple(v), m) for v, m in reps),
+                     tuple(map(tuple, z)), tuple(map(tuple, red_rel)), basis)
 
 
 def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
@@ -247,28 +237,17 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     n = p + q
     cols = []
     d = fs.diffs.get(n)
+    reps = [v for v, _ in dst.reps]
     for vec, _ in src.reps:
-        if d is None:
-            cols.append([F0] * dst.dim)
-            continue
-        w = d.apply_to_vector(vec)
+        w = d.apply_to_vector(vec) if d is not None else []
         if not any(w):
             cols.append([F0] * dst.dim)
             continue
-        if dst.dim == 0:
-            red, piv = rref(dst.relation_rows)
-            if not in_span(red, piv, w):
-                raise CompositionError(
-                    f"page image escapes the target at r={r} (p,q)=({p},{q})")
-            cols.append([])
-            continue
-        gens = [rv for rv, _ in dst.reps] + dst.relation_rows
-        mat = [[gens[g][i] for g in range(len(gens))] for i in range(len(w))]
-        x = solve(mat, w)
+        x = quotient_coordinates(reps, dst.relation_rows, w)
         if x is None:
             raise CompositionError(
                 f"page image escapes the target at r={r} (p,q)=({p},{q})")
-        cols.append(list(x[:dst.dim]))
+        cols.append(x)
     return src, dst, cols
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .algebra import Bidegree, DiffPoly, Monomial, ZERO, dtot, mul, partial
+from .algebra import Bidegree, DiffPoly, ZERO, dtot, mul, partial
 from .linwin import enumerate_piece_basis, operator_matrix, solve
 
 

@@ -4,16 +4,21 @@ The full battery runs once per test session; the per-criterion tests then
 read its results so each criterion gets its own pass/fail line.
 """
 
+import dataclasses
+
 import pytest
 
 from kdvcohom.acceptance import (
     ALL_CHECKS,
     VERIFY_SUITES,
+    _pencil_page,
     format_results,
     run_acceptance,
     run_verify_suite,
+    windowed_page_count,
 )
 from kdvcohom.algebra import poly
+from kdvcohom.linwin import Window
 from kdvcohom.varcalc import OperatorSpec
 
 
@@ -60,3 +65,12 @@ def test_run_acceptance_subset():
     assert picked[0].passed
     with pytest.raises(ValueError):
         run_acceptance(names=["not-a-check"])
+
+
+def test_cached_page_entries_cannot_be_mutated():
+    entry = _pencil_page(0, 0, 2, 1, 3)
+    with pytest.raises(AttributeError):
+        entry.reps.append(entry.reps[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.dim = 0
+    assert windowed_page_count(2, 1, 2, Window(2, 1)) == 3

@@ -16,7 +16,6 @@ from kdvcohom.kdvpencil import (
     HomotopySingularityError,
     P1_DENSITY,
     P2_DENSITY,
-    U_op,
     d0_explicit,
     d1_explicit,
     d_lambda,
@@ -26,7 +25,6 @@ from kdvcohom.kdvpencil import (
     h_op,
     pencil_filtered_slice,
     subcomplex_bidegrees,
-    top_degree,
     u_weight,
 )
 from kdvcohom.linwin import Window
@@ -91,7 +89,6 @@ def test_subcomplex_bidegrees():
     assert subcomplex_bidegrees(2)[-1] == Bidegree(4, 6)
     assert len(subcomplex_bidegrees(2)) == 5
     assert subcomplex_bidegrees(-2) == []
-    assert top_degree(-1) == 1 and top_degree(-2) is None
 
 
 # -- page zero ----------------------------------------------------------------
@@ -180,7 +177,6 @@ def test_u_weight_frozen():
     assert u_weight(poly("t0 t1 t2").monomials()[0]) == 0
     assert u_weight(Monomial()) == 0
     assert u_weight(poly("l^3 u^5").monomials()[0]) == 0
-    assert U_op(poly("u1 t0 t2 + t0 t1 t2")) == poly("3/2 u1 t0 t2")
 
 
 def test_h_op_frozen():

@@ -15,6 +15,7 @@ from kdvcohom.algebra import Bidegree, DiffPoly, Monomial, partial, poly, theta,
 from kdvcohom.linwin import (
     CompositionError,
     DEFAULT_LADDER,
+    Echelon,
     HomologyDims,
     OperatorMatrix,
     SliceBasis,
@@ -22,7 +23,6 @@ from kdvcohom.linwin import (
     WindowOverflowError,
     enumerate_basis,
     enumerate_piece_basis,
-    homology_dims,
     in_span,
     intersect_with_coordinates,
     nullspace,
@@ -30,9 +30,11 @@ from kdvcohom.linwin import (
     quotient_representatives,
     rank_of,
     rref,
+    quotient_coordinates,
     solve,
     stabilized_dims,
 )
+from kdvcohom.specseq import FilteredSlice, homology_at
 
 F = Fraction
 
@@ -165,6 +167,43 @@ def test_intersect_with_coordinates():
     assert intersect_with_coordinates(rows, set()) == []
 
 
+@settings(max_examples=60)
+@given(st_matrix, st.randoms(use_true_random=False))
+def test_echelon_ignores_row_order(rows, rnd):
+    n = len(rows[0])
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    ech = Echelon(n, rows)
+    again = Echelon(n, shuffled)
+    assert again.dense() == ech.dense() == rref(rows)[0]
+    assert again.pivots() == ech.pivots() == rref(rows)[1]
+    assert len(ech) == rank_of(rows)
+
+
+def test_echelon_add_reduce_contains():
+    ech = Echelon(3)
+    assert ech.add([F(0), F(2), F(4)])
+    assert not ech.add([F(0), F(1), F(2)])
+    assert ech.add([F(3), F(3), F(0)])
+    assert ech.dense() == [[F(1), F(0), F(-2)], [F(0), F(1), F(2)]]
+    assert ech.contains([F(1), F(1), F(0)])
+    assert not ech.contains([F(0), F(0), F(1)])
+    assert ech.reduce([F(1), F(1), F(1)]) == [F(0), F(0), F(1)]
+    assert len(ech) == 2 and ech.pivots() == [0, 1]
+
+
+def test_quotient_coordinates():
+    reps = [[F(1), F(0), F(0)]]
+    rels = [[F(0), F(1), F(1)]]
+    assert quotient_coordinates(reps, rels, [F(2), F(3), F(3)]) == [F(2)]
+    assert quotient_coordinates(reps, rels, [F(0), F(0), F(1)]) is None
+    # with no representatives the answer only says whether vec is a relation
+    assert quotient_coordinates([], rels, [F(0), F(2), F(2)]) == []
+    assert quotient_coordinates([], rels, [F(1), F(0), F(0)]) is None
+    assert quotient_coordinates([], [], [F(0), F(0)]) == []
+    assert quotient_coordinates([], [], [F(0), F(1)]) is None
+
+
 # -- operator matrices ---------------------------------------------------------
 
 
@@ -208,16 +247,15 @@ def test_apply_to_vector_matches_operator():
     assert cod.poly_of(m.apply_to_vector(dom.vector_of(a))) == d1_inline(a)
 
 
-def test_export_triplets_deterministic():
-    w = Window(1, 0)
-    dom = enumerate_basis(Bidegree(0, 0), w)
-    cod = enumerate_basis(Bidegree(1, 1), w)
-    m = operator_matrix(d1_inline, dom, cod)
-    assert m.export_triplets() == operator_matrix(d1_inline, dom, cod).export_triplets()
-    assert "# shape" in m.export_triplets()
-
-
 # -- homology ------------------------------------------------------------------
+
+
+def _two_step(d_in, d_out):
+    """The complex d_in then d_out, every basis vector at filtration level 0."""
+    bases = {0: d_in.domain, 1: d_in.codomain, 2: d_out.codomain}
+    return FilteredSlice(degrees=(0, 1, 2), bases=bases,
+                         levels={n: (0,) * len(b) for n, b in bases.items()},
+                         diffs={0: d_in, 1: d_out}, label="two-step")
 
 
 def test_homology_dims_frozen():
@@ -227,7 +265,8 @@ def test_homology_dims_frozen():
     s2 = enumerate_basis(Bidegree(2, 2), w)
     d_in = operator_matrix(d1_inline, s0, s1)
     d_out = operator_matrix(d1_inline, s1, s2)
-    assert homology_dims(d_in, d_out) == HomologyDims(kernel=4, image=2, homology=2)
+    fs = _two_step(d_in, d_out)
+    assert homology_at(fs, 1) == HomologyDims(kernel=4, image=2, homology=2)
 
 
 def test_homology_rejects_nonzero_composite():
@@ -236,8 +275,9 @@ def test_homology_rejects_nonzero_composite():
     s0 = enumerate_basis(Bidegree(0, 0), w)
     s1 = enumerate_basis(Bidegree(0, 1), w)
     s2 = enumerate_basis(Bidegree(0, 2), w)
-    with pytest.raises(CompositionError):
-        homology_dims(operator_matrix(dtot, s0, s1), operator_matrix(dtot, s1, s2))
+    fs = _two_step(operator_matrix(dtot, s0, s1), operator_matrix(dtot, s1, s2))
+    with pytest.raises(CompositionError, match="does not square to zero"):
+        fs.validate()
 
 
 def test_homology_rejects_mismatched_middle():
@@ -246,9 +286,10 @@ def test_homology_rejects_mismatched_middle():
     s1 = enumerate_basis(Bidegree(1, 1), w)
     s1b = enumerate_basis(Bidegree(1, 1), Window(1, 0))
     s2 = enumerate_basis(Bidegree(2, 2), w)
-    with pytest.raises(CompositionError):
-        homology_dims(operator_matrix(d1_inline, s0, s1),
-                      operator_matrix(d1_inline, s1b, s2))
+    fs = _two_step(operator_matrix(d1_inline, s0, s1),
+                   operator_matrix(d1_inline, s1b, s2))
+    with pytest.raises(CompositionError, match="domain mismatch"):
+        fs.validate()
 
 
 def test_quotient_representatives_prefers_monomials():
