@@ -45,7 +45,13 @@ from .kdvpencil import (
     h_op,
     pencil_filtered_slice,
 )
-from .linwin import DEFAULT_LADDER, Window, enumerate_piece_basis, quotient_coordinates
+from .linwin import (
+    DEFAULT_LADDER,
+    Window,
+    enumerate_piece_basis,
+    quotient_coordinates,
+    sparse,
+)
 from .specseq import PageEntry, converge_check, homology_at, page, page_dr_matrix
 from .varcalc import OperatorSpec, delta_theta, delta_u, schouten
 
@@ -202,8 +208,9 @@ def _page_coords(entry: PageEntry, a: DiffPoly) -> Optional[List[Fraction]]:
     """Coordinates of a polynomial's class over a page entry's representatives."""
     if entry.basis is None or not entry.basis.monomials:
         return [] if not a.terms else None
-    return quotient_coordinates([v for v, _ in entry.reps], entry.relation_rows,
-                                entry.basis.vector_of(a))
+    return quotient_coordinates([sparse(v) for v, _ in entry.reps],
+                                [sparse(r) for r in entry.relation_rows],
+                                sparse(entry.basis.vector_of(a)))
 
 
 # -- criteria ------------------------------------------------------------------

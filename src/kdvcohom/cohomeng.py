@@ -29,17 +29,19 @@ from .algebra import Bidegree, DiffPoly, Monomial, dtot
 from .kdvpencil import (
     d1_piece_matrix,
     d2_piece_matrix,
+    d_lambda,
     dlambda_piece_matrix,
 )
 from .linwin import (
     CompositionError,
-    F0,
     F1,
     DEFAULT_LADDER,
     OperatorMatrix,
+    Row,
     SliceBasis,
     StabilizationReport,
     Window,
+    dense,
     enumerate_piece_basis,
     nullspace,
     operator_matrix,
@@ -48,10 +50,12 @@ from .linwin import (
     rank_of,
     reduce_against,
     rref,
-    solve,
+    sparse,
     stabilized_dims,
+    transpose,
     window_reps,
 )
+from .varcalc import dtot_preimage
 
 KINDS = ("dlambda_A", "dlambda_Q", "dlambda_F", "d1_A", "bh_A", "bh_F")
 
@@ -99,7 +103,7 @@ class PieceHomology:
 def _dtot_rows(p: int, d: int, c: int, include_lambda: bool):
     """Row span of the exact terms inside the (p, d, c) piece."""
     mat = _dtot_matrix(p, d, c, include_lambda)
-    return mat.image_rows() if mat is not None else []
+    return list(mat.cols) if mat is not None else []
 
 
 _DTOT_CACHE: Dict[Tuple[int, int, int, bool], Optional[OperatorMatrix]] = {}
@@ -122,31 +126,28 @@ def _presentation_rows(kind: str, p: int, d: int, c: int):
         return _dtot_rows(p, d, c, kind in _LAMBDA_KINDS)
     if kind == "dlambda_Q" and (p, d) == (0, 0) and c >= 0:
         basis = enumerate_piece_basis(Bidegree(0, 0), c, True)
-        row = [F0] * len(basis)
-        row[basis.index_of(Monomial(lam=c))] = F1
-        return [row]
+        return [((basis.index_of(Monomial(lam=c)), F1),)]
     return []
 
 
-def _reduced_columns(op: OperatorMatrix, rel_rows):
-    """Matrix rows of the operator after killing the codomain relations."""
-    ndom, ncod = len(op.domain), len(op.codomain)
-    if not rel_rows:
-        return op.dense_rows()
-    red, piv = rref(rel_rows)
-    cols = []
-    for j in range(ndom):
-        w = [F0] * ncod
-        for i, val in op.cols[j].items():
-            w[i] = val
-        cols.append(reduce_against(red, piv, w))
-    return [[cols[j][i] for j in range(ndom)] for i in range(ncod)]
+def _joint_kernel(*parts: Tuple[OperatorMatrix, List[Row]]) -> List[Row]:
+    """Joint kernel of operators on one domain, each modulo its relations.
 
-
-def _kernel_rows(op: OperatorMatrix, rel_rows):
-    if not rel_rows:
-        return op.kernel_rows()
-    return nullspace(_reduced_columns(op, rel_rows), len(op.domain))
+    Each part is an operator with the relation rows of its codomain; the
+    columns are reduced against the relations and stacked, the codomain of
+    each later part placed below the one before.
+    """
+    stacked = [()] * len(parts[0][0].domain)
+    shift = 0
+    for op, rel_rows in parts:
+        cols = op.cols
+        if rel_rows:
+            red, piv = rref(rel_rows)
+            cols = [reduce_against(red, piv, col) for col in cols]
+        stacked = [top + tuple((i + shift, x) for i, x in col)
+                   for top, col in zip(stacked, cols)]
+        shift += len(op.codomain)
+    return nullspace(transpose(stacked), len(stacked))
 
 
 def _single_complex(kind: str, p: int, d: int, c: int):
@@ -159,8 +160,8 @@ def _single_complex(kind: str, p: int, d: int, c: int):
         out_op = dlambda_piece_matrix(p, d, c)
         in_op = dlambda_piece_matrix(p - 1, d - 1, c) if min(p, d) >= 1 else None
         out_rel = _presentation_rows(kind, p + 1, d + 1, c)
-    kernel = _kernel_rows(out_op, out_rel)
-    image = in_op.image_rows() if in_op is not None else []
+    kernel = _joint_kernel((out_op, out_rel))
+    image = list(in_op.cols) if in_op is not None else []
     return kernel, image
 
 
@@ -170,16 +171,12 @@ def _bh_complex(kind: str, p: int, d: int, c: int):
     out2 = d2_piece_matrix(p, d, c)
     rel1 = _presentation_rows(kind, p + 1, d + 1, c - 1)
     rel2 = _presentation_rows(kind, p + 1, d + 1, c)
-    stacked = _reduced_columns(out1, rel1) + _reduced_columns(out2, rel2)
-    kernel = nullspace(stacked, len(out1.domain))
+    kernel = _joint_kernel((out1, rel1), (out2, rel2))
     image = []
     if p >= 2 and d >= 2:
         first = d2_piece_matrix(p - 2, d - 2, c + 1)
         second = d1_piece_matrix(p - 1, d - 1, c + 1)
-        for j in range(len(first.domain)):
-            e = [F0] * len(first.domain)
-            e[j] = F1
-            image.append(second.apply_to_vector(first.apply_to_vector(e)))
+        image = [second.apply(col) for col in first.cols]
     return kernel, image
 
 
@@ -200,12 +197,13 @@ def piece_homology(kind: str, p: int, d: int, c: int) -> PieceHomology:
     # a canonical kernel basis is independent, so its length is the rank
     coc_rank = len(kernel)
     bnd_rank = len(rel_red)
+    n = len(basis)
     return PieceHomology(
         kind=kind, bidegree=Bidegree(p, d), ucount=c, basis=basis,
         cocycle_rank=coc_rank, boundary_rank=bnd_rank,
         dim=coc_rank - bnd_rank,
-        reps=tuple((tuple(v), m) for v, m in reps),
-        relation_rows=tuple(tuple(r) for r in rel_red))
+        reps=tuple((tuple(dense(v, n)), m) for v, m in reps),
+        relation_rows=tuple(tuple(dense(r, n)) for r in rel_red))
 
 
 def piece_count_range(kind: str, d: int, w: Window) -> range:
@@ -245,8 +243,9 @@ def class_coords(ph: PieceHomology, candidate: DiffPoly) -> Optional[List[Fracti
 
     None when the candidate does not lie in the cocycle span at all.
     """
-    return quotient_coordinates([v for v, _ in ph.reps], ph.relation_rows,
-                                ph.basis.vector_of(candidate))
+    return quotient_coordinates([sparse(v) for v, _ in ph.reps],
+                                [sparse(r) for r in ph.relation_rows],
+                                sparse(ph.basis.vector_of(candidate)))
 
 
 # -- the two theories side by side -----------------------------------------
@@ -330,31 +329,16 @@ def _push_classes(src: PieceHomology, dst: PieceHomology, push) -> List[List[Fra
     return cols
 
 
-def _delta_push(fnode: PieceHomology):
+def _delta_push(a: DiffPoly) -> DiffPoly:
     """Connecting map: differentiate, then peel one total derivative."""
-    from .kdvpencil import d_lambda
-    p, d = fnode.bidegree
-    c = fnode.ucount
-
-    def push(a: DiffPoly) -> DiffPoly:
-        w = d_lambda(a)
-        mat = _dtot_matrix(p + 1, d + 1, c, True)
-        cod = enumerate_piece_basis(Bidegree(p + 1, d + 1), c, True)
-        target = cod.vector_of(w)
-        if mat is None:
-            if any(target):
-                raise CompositionError("connecting image misses the exact terms")
-            return DiffPoly.zero()
-        y = solve(mat.dense_rows(), target)
-        if y is None:
-            raise CompositionError("connecting image misses the exact terms")
-        return mat.domain.poly_of(y)
-
-    return push
+    y = dtot_preimage(d_lambda(a))
+    if y is None:
+        raise CompositionError("connecting image misses the exact terms")
+    return y
 
 
 def _rank(cols: List[List[Fraction]]) -> int:
-    return rank_of([list(col) for col in cols])
+    return rank_of([sparse(col) for col in cols])
 
 
 def les_rank_audit(k: int, c: int, d_max: int = 5) -> LesAudit:
@@ -383,7 +367,7 @@ def les_rank_audit(k: int, c: int, d_max: int = 5) -> LesAudit:
         elif src.kind == "dlambda_A":
             push = lambda a: a
         else:
-            push = _delta_push(src)
+            push = _delta_push
         maps.append(_push_classes(src, dst, push))
     out_nodes = []
     for i, ph in enumerate(nodes):

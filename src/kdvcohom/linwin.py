@@ -5,13 +5,17 @@ either a reporting window (u-power <= N, l-power <= L, jets unconstrained)
 or a fixed even-factor count (ucount), which cuts out a genuinely finite
 piece preserved by the pencil differentials.
 
-Every elimination runs through one kernel, the Echelon class: a span kept
-as sparse Fraction rows in fully reduced row echelon form, pivoting on the
-first nonzero column in the canonical monomial order.  rref, rank_of,
-reduce_against, in_span, solve, nullspace, intersect_with_coordinates and
-quotient_representatives are thin dense views of it.  The reduced form of
-a span is unique, so every result is canonical; no floating point, no
-probabilistic shortcuts.
+Vectors over a slice basis are Rows: tuples of (column, nonzero Fraction)
+pairs in increasing column order, from the columns of an OperatorMatrix to
+the rows of an echelon form.  Every elimination runs through one kernel,
+the Echelon class: a span kept as sparse Fraction rows in fully reduced row
+echelon form, pivoting on the first nonzero column in the canonical
+monomial order.  rref, rank_of, reduce_against, in_span, solve, nullspace,
+intersect_with_coordinates and quotient_representatives take and return
+Rows and are thin views of it; only solve hands back a dense coordinate
+vector.  sparse() and dense() convert at the edges, where published
+results hold dense tuples.  The reduced form of a span is unique, so every
+result is canonical; no floating point, no probabilistic shortcuts.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Bidegree, DiffPoly, Monomial
 
@@ -194,19 +198,49 @@ def enumerate_piece_basis(bd: Bidegree, ucount: int, include_lambda: bool = True
 # -- exact elimination ----------------------------------------------------
 
 
+# A sparse exact row: (column, nonzero Fraction) pairs in increasing column
+# order.  It is immutable and canonical, and dict(row) indexes it.
+Row = Tuple[Tuple[int, Fraction], ...]
+
+
+def sparse(vec: Sequence[Fraction]) -> Row:
+    """The Row of a dense vector."""
+    return tuple((j, x) for j, x in enumerate(vec) if x)
+
+
+def dense(row: Row, n: int) -> List[Fraction]:
+    """The dense vector of length n with the entries of row."""
+    out = [F0] * n
+    for j, x in row:
+        out[j] = x
+    return out
+
+
+def _row(entries: Dict[int, Fraction]) -> Row:
+    return tuple(sorted(entries.items()))
+
+
+def transpose(cols: Sequence[Row]) -> List[Row]:
+    """The nonzero rows of the matrix given by its columns, in row order."""
+    rows: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for j, col in enumerate(cols):
+        for i, x in col:
+            rows.setdefault(i, []).append((j, x))
+    return [tuple(rows[i]) for i in sorted(rows)]
+
+
 class Echelon:
     """A span held as sparse rows in fully reduced row echelon form.
 
     Rows are col -> Fraction dicts keyed by their pivot, the first nonzero
     column; every pivot entry is 1 and no row touches another row's pivot.
-    Rows go in one at a time as dense sequences, so extending a span never
-    repeats the work already done on it, and the form reached does not
-    depend on the order the rows came in.  This is the only place in the
-    package where multiples of rows are subtracted.
+    Rows go in one at a time as Rows, so extending a span never repeats the
+    work already done on it and never scans a structural zero, and the form
+    reached does not depend on the order the rows came in.  This is the
+    only place in the package where multiples of rows are subtracted.
     """
 
-    def __init__(self, ncols: int, rows: Sequence[Sequence[Fraction]] = ()):
-        self.ncols = ncols
+    def __init__(self, rows: Iterable[Row] = ()):
         self._rows: Dict[int, Dict[int, Fraction]] = {}
         for row in rows:
             self.add(row)
@@ -214,8 +248,8 @@ class Echelon:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _reduced(self, row: Sequence[Fraction]) -> Dict[int, Fraction]:
-        v = {j: x for j, x in enumerate(row) if x}
+    def _reduced(self, row: Row) -> Dict[int, Fraction]:
+        v = dict(row)
         # a pivot row is zero on every other pivot, so one pass suffices
         for pc in [j for j in v if j in self._rows]:
             f = v[pc]
@@ -227,7 +261,7 @@ class Echelon:
                     del v[j]
         return v
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: Row) -> bool:
         """Extend the span by row; False when row already lies in it."""
         v = self._reduced(row)
         if not v:
@@ -248,175 +282,131 @@ class Echelon:
         self._rows[pc] = v
         return True
 
-    def reduce(self, row: Sequence[Fraction]) -> List[Fraction]:
+    def reduce(self, row: Row) -> Row:
         """row minus its component in the span; zero at every pivot."""
-        return self._dense(self._reduced(row))
+        return _row(self._reduced(row))
 
-    def contains(self, row: Sequence[Fraction]) -> bool:
+    def contains(self, row: Row) -> bool:
         return not self._reduced(row)
-
-    def items(self) -> List[Tuple[int, Dict[int, Fraction]]]:
-        """(pivot, sparse row) pairs in pivot order."""
-        return sorted(self._rows.items())
 
     def pivots(self) -> List[int]:
         return sorted(self._rows)
 
-    def dense(self) -> List[List[Fraction]]:
-        """The rows as dense lists in pivot order."""
-        return [self._dense(row) for _, row in self.items()]
-
-    def _dense(self, row: Dict[int, Fraction]) -> List[Fraction]:
-        out = [F0] * self.ncols
-        for j, x in row.items():
-            out[j] = x
-        return out
+    def rows(self) -> List[Row]:
+        """The rows in pivot order."""
+        return [_row(self._rows[pc]) for pc in self.pivots()]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form of equal-length dense rows.
+def rref(rows: Sequence[Row]):
+    """Reduced row echelon form of a list of Rows.
 
     Returns (nonzero rows, pivot column list), both in pivot order; the
-    pivot of a row is its first nonzero column.  Input rows are not
-    mutated.  The form is the one an Echelon reaches on the rows.
+    pivot of a row is its first nonzero column.  The form is the one an
+    Echelon reaches on the rows.
     """
-    ech = Echelon(len(rows[0]) if rows else 0, rows)
-    return ech.dense(), ech.pivots()
+    ech = Echelon(rows)
+    return ech.rows(), ech.pivots()
 
 
-def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(Echelon(len(rows[0]) if rows else 0, rows))
+def rank_of(rows: Sequence[Row]) -> int:
+    return len(Echelon(rows))
 
 
-def reduce_against(rref_rows, pivots, vec: Sequence[Fraction]) -> List[Fraction]:
+def reduce_against(rref_rows, pivots, vec: Row) -> Row:
     """Subtract the span of an rref basis from vec; result has no pivots."""
     # only the basis rows whose pivots vec touches take part; rows already
     # in reduced form go into an Echelon without any arithmetic
-    ech = Echelon(len(vec), [row for row, pc in zip(rref_rows, pivots) if vec[pc]])
-    return ech.reduce(vec)
+    touched = {j for j, _ in vec}
+    return Echelon(row for row, pc in zip(rref_rows, pivots)
+                   if pc in touched).reduce(vec)
 
 
-def in_span(rref_rows, pivots, vec: Sequence[Fraction]) -> bool:
-    return not any(reduce_against(rref_rows, pivots, vec))
+def in_span(rref_rows, pivots, vec: Row) -> bool:
+    return not reduce_against(rref_rows, pivots, vec)
 
 
-def solve(rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
-    """One exact solution x of (rows as matrix) @ x = b, or None.
+def solve(cols: Sequence[Row], b: Row) -> Optional[List[Fraction]]:
+    """One exact solution x of (cols as matrix columns) @ x = b, or None.
 
-    Free variables are set to zero; with the canonical column order this
-    makes the returned solution deterministic.
+    x is dense, one coordinate per column.  Free variables are set to zero;
+    with the canonical column order this makes the solution deterministic.
     """
-    m = len(rows)
-    if m == 0:
-        return [] if not any(b) else None
-    n = len(rows[0])
-    ech = Echelon(n + 1, [list(rows[i]) + [Fraction(b[i])] for i in range(m)])
+    n = len(cols)
     x = [F0] * n
-    for pc, row in ech.items():
+    for row in Echelon(transpose([*cols, b])).rows():
+        pc, last = row[0][0], row[-1]
         if pc == n:
             return None
-        x[pc] = row.get(n, F0)
+        if last[0] == n:
+            x[pc] = last[1]
     return x
 
 
-def quotient_coordinates(reps, relations, vec: Sequence[Fraction]):
+def quotient_coordinates(reps: Sequence[Row], relations: Sequence[Row], vec: Row):
     """Coordinates of vec over the rows reps, modulo the span of relations.
 
     None when vec lies outside span(reps + relations).  With no reps the
     answer is [] exactly when vec lies in the span of the relations.
     """
-    x = solve(list(zip(*reps, *relations)), vec)
+    x = solve([*reps, *relations], vec)
     return None if x is None else x[:len(reps)]
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Canonical kernel basis of the matrix given by rows (maps R^ncols -> R^m)."""
-    ech = Echelon(ncols, rows)
-    pivot_rows = ech.items()
-    pivot_set = set(ech.pivots())
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [F0] * ncols
-        v[free] = F1
-        for pc, row in pivot_rows:
-            v[pc] = -row.get(free, F0)
-        basis.append(v)
-    return basis
+def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
+    """Canonical kernel basis of the matrix given by rows (maps R^ncols -> R^m).
+
+    One vector per free column f: 1 at f, minus the f entry of each pivot
+    row at that row's pivot.
+    """
+    ech = Echelon(rows)
+    pivots = set(ech.pivots())
+    kernel = {j: [] for j in range(ncols) if j not in pivots}
+    for row in ech.rows():
+        pc = row[0][0]
+        for j, x in row[1:]:
+            kernel[j].append((pc, -x))
+    return [(*v, (j, F1)) for j, v in kernel.items()]
 
 
-def intersect_with_coordinates(rows, allowed_idx) -> List[List[Fraction]]:
+def intersect_with_coordinates(rows: Sequence[Row], allowed_idx) -> List[Row]:
     """Basis of span(rows) intersected with {v : v_j = 0 for j not allowed}.
 
-    One elimination with the banned columns ordered first: a reduced row
-    whose pivot is an allowed column vanishes on every banned column, and
-    those rows span the intersection.  They come back in the original
-    column order as the reduced echelon basis of the intersection.
+    One elimination with the banned columns ordered first, by shifting
+    every allowed column past the largest column index: a reduced row whose
+    pivot is an allowed column vanishes on every banned column, and those
+    rows span the intersection.  Shifted back they are the reduced echelon
+    basis of the intersection.
     """
-    live = [r for r in rows if any(r)]
+    live = [r for r in rows if r]
     if not live:
         return []
-    n = len(live[0])
     allowed = set(allowed_idx)
-    banned = [j for j in range(n) if j not in allowed]
-    order = banned + [j for j in range(n) if j in allowed]
-    ech = Echelon(n, [[r[j] for j in order] for r in live])
-    out = []
-    for pc, row in ech.items():
-        if pc >= len(banned):
-            v = [F0] * n
-            for j, x in row.items():
-                v[order[j]] = x
-            out.append(v)
-    return out
+    shift = 1 + max(r[-1][0] for r in live)
+    ech = Echelon(tuple(sorted((j + shift if j in allowed else j, x) for j, x in r))
+                  for r in live)
+    return [tuple((j - shift, x) for j, x in row)
+            for row in ech.rows() if row[0][0] >= shift]
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix of a linear operator between two slice bases.
 
-    Columns are stored sparsely (row index -> Fraction), one per domain
-    monomial, in domain order.
+    One Row per domain monomial, in domain order, indexed by the codomain.
+    Matrices are cached and shared, so they are immutable.
     """
 
     domain: SliceBasis
     codomain: SliceBasis
-    cols: Tuple[dict, ...]
+    cols: Tuple[Row, ...]
 
-    def apply_to_vector(self, vec: Sequence[Fraction]) -> List[Fraction]:
-        out = [F0] * len(self.codomain)
-        for j, x in enumerate(vec):
-            if x:
-                for i, c in self.cols[j].items():
-                    out[i] += x * c
-        return out
-
-    def dense_rows(self) -> List[List[Fraction]]:
-        rows = [[F0] * len(self.cols) for _ in range(len(self.codomain))]
-        for j, col in enumerate(self.cols):
-            for i, c in col.items():
-                rows[i][j] = c
-        return rows
-
-    def rank(self) -> int:
-        return rank_of(self.image_rows())
-
-    def image_rows(self) -> List[List[Fraction]]:
-        rows = []
-        for col in self.cols:
-            if col:
-                v = [F0] * len(self.codomain)
-                for i, c in col.items():
-                    v[i] = c
-                rows.append(v)
-        return rows
-
-    def kernel_rows(self) -> List[List[Fraction]]:
-        return nullspace(self.dense_rows(), len(self.domain))
-
-    def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
+    def apply(self, vec: Row) -> Row:
+        """The image of a domain Row, as a codomain Row."""
+        out: Dict[int, Fraction] = {}
+        for j, x in vec:
+            for i, c in self.cols[j]:
+                out[i] = out.get(i, F0) + x * c
+        return _row({i: v for i, v in out.items() if v})
 
 
 def operator_matrix(op: Callable[[DiffPoly], DiffPoly], domain: SliceBasis,
@@ -425,10 +415,7 @@ def operator_matrix(op: Callable[[DiffPoly], DiffPoly], domain: SliceBasis,
     cols = []
     for m in domain.monomials:
         img = op(DiffPoly.monomial(m))
-        col = {}
-        for mm, c in img.terms.items():
-            col[codomain.index_of(mm)] = c
-        cols.append(col)
+        cols.append(_row({codomain.index_of(mm): c for mm, c in img.terms.items()}))
     return OperatorMatrix(domain, codomain, tuple(cols))
 
 
@@ -441,7 +428,8 @@ class HomologyDims(NamedTuple):
     homology: int
 
 
-def quotient_representatives(ambient: SliceBasis, space_rows, relation_rows):
+def quotient_representatives(ambient: SliceBasis, space_rows: Sequence[Row],
+                             relation_rows: Sequence[Row]):
     """Deterministic transversal of span(space)/span(relations).
 
     Relations must span a subspace of the space (checked).  Preference is
@@ -450,11 +438,10 @@ def quotient_representatives(ambient: SliceBasis, space_rows, relation_rows):
     otherwise reduced space rows fill the remainder.  One echelon of the
     relations is extended by each accepted candidate.
 
-    Returns a list of (vector, monomial-or-None) pairs.
+    Returns a list of (Row, monomial-or-None) pairs.
     """
-    n = len(ambient)
-    space = Echelon(n, space_rows)
-    acc = Echelon(n, relation_rows)
+    space = Echelon(space_rows)
+    acc = Echelon(relation_rows)
     if not all(space.contains(row) for row in relation_rows):
         raise CompositionError("relations are not contained in the space")
     target = len(space) - len(acc)
@@ -462,11 +449,10 @@ def quotient_representatives(ambient: SliceBasis, space_rows, relation_rows):
     for j, m in enumerate(ambient.monomials):
         if len(reps) >= target:
             break
-        e = [F0] * n
-        e[j] = F1
+        e = ((j, F1),)
         if space.contains(e) and acc.add(e):
             reps.append((e, m))
-    for row in space.dense():
+    for row in space.rows():
         if len(reps) >= target:
             break
         if acc.add(row):
@@ -504,15 +490,11 @@ class StabilizationReport:
 
 def _fit_affine(points, use_n: bool, use_l: bool):
     """Exact fit dim = a*N + b*L + c over the given points, or None."""
-    rows = []
-    rhs = []
-    for (w, dim) in points:
-        rows.append([Fraction(w.N) if use_n else F0,
-                     Fraction(w.L) if use_l else F0,
-                     F1])
-        rhs.append(Fraction(dim))
+    cols = [sparse([Fraction(w.N) if use_n else F0 for w, _ in points]),
+            sparse([Fraction(w.L) if use_l else F0 for w, _ in points]),
+            sparse([F1] * len(points))]
     # solve least-structure system exactly: find any solution, then verify
-    sol = solve(rows, rhs)
+    sol = solve(cols, sparse([Fraction(dim) for _, dim in points]))
     if sol is None:
         return None
     a, b, c = sol

@@ -17,26 +17,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import Monomial
 from .linwin import (
+    F0,
     CompositionError,
     HomologyDims,
     OperatorMatrix,
+    Row,
     SliceBasis,
     Window,
+    dense,
     intersect_with_coordinates,
     nullspace,
     quotient_coordinates,
     quotient_representatives,
     rank_of,
     rref,
+    sparse,
+    transpose,
     window_reps,
 )
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 @dataclass
@@ -78,7 +80,7 @@ class FilteredSlice:
             # the differential must not lower the filtration level
             lv_cod = self.levels.get(n + 1, ())
             for j, col in enumerate(d.cols):
-                for i in col:
+                for i, _ in col:
                     if lv_cod and lv_cod[i] < self.levels[n][j]:
                         raise CompositionError(
                             f"level drops along the differential at degree {n}")
@@ -87,10 +89,7 @@ class FilteredSlice:
             d, d2 = self.diffs.get(n), self.diffs.get(n + 1)
             if d is not None and d2 is not None:
                 for col in d.cols:
-                    vec = [F0] * len(d.codomain)
-                    for i, c in col.items():
-                        vec[i] = c
-                    if any(d2.apply_to_vector(vec)):
+                    if d2.apply(col):
                         raise CompositionError(
                             f"differential does not square to zero at degree {n}")
         self._validated = True
@@ -119,14 +118,7 @@ class FilteredSlice:
         return self.max_level() - self.min_level() + 1
 
 
-def _embed(vec: Sequence[Fraction], idx: Sequence[int], dim: int) -> List[Fraction]:
-    out = [F0] * dim
-    for x, i in zip(vec, idx):
-        out[i] = x
-    return out
-
-
-def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[List[Fraction]]:
+def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
     """Basis rows of Z_r at filtration p, degree n.
 
     Z_r is the set of vectors of F^p whose differential lands in F^{p+r}.
@@ -134,35 +126,28 @@ def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[List[Fraction]]:
     fs.validate()
     if n not in fs.bases:
         return []
-    dim = fs.dim(n)
     idx = fs.level_indices(n, p)
     if not idx:
         return []
     d = fs.diffs.get(n)
-    if d is None or not len(d.codomain):
-        rows = []
-        for i in idx:
-            rows.append(_embed([F1], [i], dim))
-        return rows
-    if not fs.bases.get(n + 1):
-        # nonzero outgoing differential but the next degree is not part of
-        # the slice: a truncated complex ends here and its top page spaces
-        # are not computable, only the lower degrees are
-        raise ValueError(
-            f"degree {n} is a truncation boundary of {fs.label}")
-    lv_cod = fs.levels[n + 1]
-    # rows strictly below level p vanish on F^p columns by the validated
-    # filtration axiom, so only the band [p, p+r) constrains anything
-    banned = [i for i, l in enumerate(lv_cod) if p <= l < p + r]
-    constraint = [[d.cols[j].get(i, F0) for j in idx] for i in banned]
-    if not constraint:
-        kern = [[F1 if a == b else F0 for b in range(len(idx))] for a in range(len(idx))]
-    else:
-        kern = nullspace(constraint, len(idx))
-    return [_embed(v, idx, dim) for v in kern]
+    band = []   # the columns at idx, cut to the codomain levels [p, p+r)
+    if d is not None and len(d.codomain):
+        if not fs.bases.get(n + 1):
+            # nonzero outgoing differential but the next degree is not part
+            # of the slice: a truncated complex ends here and its top page
+            # spaces are not computable, only the lower degrees are
+            raise ValueError(
+                f"degree {n} is a truncation boundary of {fs.label}")
+        lv_cod = fs.levels[n + 1]
+        # rows strictly below level p vanish on F^p columns by the validated
+        # filtration axiom, so only the band [p, p+r) constrains anything
+        band = [tuple((i, x) for i, x in d.cols[j] if p <= lv_cod[i] < p + r)
+                for j in idx]
+    kern = nullspace(transpose(band), len(idx))
+    return [tuple((idx[k], x) for k, x in v) for v in kern]
 
 
-def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[List[Fraction]]:
+def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
     """Basis rows of d(F^{p-r} in degree n-1) intersected with F^p."""
     fs.validate()
     if n not in fs.bases:
@@ -175,10 +160,7 @@ def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[List[Fraction]]:
     lv_dom = fs.levels[n - 1]
     for j, col in enumerate(d.cols):
         if lv_dom[j] >= p - r and col:
-            vec = [F0] * fs.dim(n)
-            for i, c in col.items():
-                vec[i] = c
-            (inside if lv_dom[j] >= p else crossing).append(vec)
+            (inside if lv_dom[j] >= p else crossing).append(col)
     if crossing:
         inside += intersect_with_coordinates(
             crossing, set(fs.level_indices(n, p)))
@@ -220,8 +202,11 @@ def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
     rel = b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n)
     red_rel, _ = rref(rel)
     reps = quotient_representatives(basis, z, red_rel)
-    return PageEntry(r, p, q, len(reps), tuple((tuple(v), m) for v, m in reps),
-                     tuple(map(tuple, z)), tuple(map(tuple, red_rel)), basis)
+    dim = len(basis)
+    return PageEntry(r, p, q, len(reps),
+                     tuple((tuple(dense(v, dim)), m) for v, m in reps),
+                     tuple(tuple(dense(v, dim)) for v in z),
+                     tuple(tuple(dense(v, dim)) for v in red_rel), basis)
 
 
 def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
@@ -237,13 +222,14 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     n = p + q
     cols = []
     d = fs.diffs.get(n)
-    reps = [v for v, _ in dst.reps]
+    reps = [sparse(v) for v, _ in dst.reps]
+    relations = [sparse(v) for v in dst.relation_rows]
     for vec, _ in src.reps:
-        w = d.apply_to_vector(vec) if d is not None else []
-        if not any(w):
+        w = d.apply(sparse(vec)) if d is not None else ()
+        if not w:
             cols.append([F0] * dst.dim)
             continue
-        x = quotient_coordinates(reps, dst.relation_rows, w)
+        x = quotient_coordinates(reps, relations, w)
         if x is None:
             raise CompositionError(
                 f"page image escapes the target at r={r} (p,q)=({p},{q})")
@@ -286,9 +272,9 @@ def homology_at(fs: FilteredSlice, n: int) -> HomologyDims:
     if n not in fs.bases:
         return HomologyDims(0, 0, 0)
     d_out = fs.diffs.get(n)
-    ker = fs.dim(n) - (rank_of(d_out.image_rows()) if d_out else 0)
+    ker = fs.dim(n) - (rank_of(d_out.cols) if d_out else 0)
     d_in = fs.diffs.get(n - 1)
-    img = rank_of(d_in.image_rows()) if d_in else 0
+    img = rank_of(d_in.cols) if d_in else 0
     return HomologyDims(ker, img, ker - img)
 
 

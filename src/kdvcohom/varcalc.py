@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .algebra import Bidegree, DiffPoly, ZERO, dtot, mul, partial
-from .linwin import enumerate_piece_basis, operator_matrix, solve
+from .linwin import enumerate_piece_basis, operator_matrix, solve, sparse
 
 
 def _orders(a: DiffPoly) -> Tuple[set, set]:
@@ -143,7 +143,7 @@ def dtot_preimage(a: DiffPoly) -> Optional[DiffPoly]:
             # the total derivative raises the standard degree
             return None
         mat = _dtot_piece_matrix(p, d, c)
-        x = solve(mat.dense_rows(), mat.codomain.vector_of(comp))
+        x = solve(mat.cols, sparse(mat.codomain.vector_of(comp)))
         if x is None:
             return None
         out = out + mat.domain.poly_of(x)

@@ -5,6 +5,8 @@ closed formula (prolong the pencil field, set the parameter to u, add the
 column correction, multiply back into the column) before implementing it.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +21,7 @@ from kdvcohom.kdvpencil import (
     d0_explicit,
     d1_explicit,
     d_lambda,
+    dlambda_piece_matrix,
     e1_basis,
     e1_piece_basis,
     filtration_level,
@@ -221,3 +224,17 @@ def test_pencil_filtered_slice_levels():
     fs = pencil_filtered_slice(0, 1)
     b = fs.bases[3]
     assert all(lv == 3 - m.max_jet() for lv, m in zip(fs.levels[3], b.monomials))
+
+
+def test_cached_piece_matrices_cannot_be_mutated():
+    # cached matrices are shared by every later query in the process
+    from kdvcohom.cohomeng import piece_homology, windowed_dim
+    for c in range(6):
+        mat = dlambda_piece_matrix(1, 1, c)
+        for col in mat.cols:
+            with pytest.raises(AttributeError):
+                col.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mat.cols = ()
+    piece_homology.cache_clear()
+    assert windowed_dim("dlambda_A", 1, 1, Window(2, 1)) == 0

@@ -1,7 +1,9 @@
 """Slice enumeration and the exact elimination layer.
 
 Basis enumerations are cross-checked against an independent brute-force
-generator; elimination results against hand-reduced matrices.
+generator; elimination results against hand-reduced matrices.  The
+elimination functions take and return sparse Rows; the matrices here are
+written densely and converted with sparse() and dense().
 """
 
 import itertools
@@ -21,6 +23,7 @@ from kdvcohom.linwin import (
     SliceBasis,
     Window,
     WindowOverflowError,
+    dense,
     enumerate_basis,
     enumerate_piece_basis,
     in_span,
@@ -32,7 +35,9 @@ from kdvcohom.linwin import (
     rref,
     quotient_coordinates,
     solve,
+    sparse,
     stabilized_dims,
+    transpose,
 )
 from kdvcohom.specseq import FilteredSlice, homology_at
 
@@ -117,24 +122,43 @@ def test_piece_without_lambda():
 # -- elimination --------------------------------------------------------------
 
 
+def rows_of(matrix):
+    return [sparse(row) for row in matrix]
+
+
+def cols_of(matrix):
+    return [sparse(col) for col in zip(*matrix)]
+
+
+def dense_rows(rows, n):
+    return [dense(row, n) for row in rows]
+
+
+def test_sparse_dense_round_trip():
+    vec = [F(0), F(2), F(0), F(-1, 3)]
+    assert sparse(vec) == ((1, F(2)), (3, F(-1, 3)))
+    assert dense(sparse(vec), 4) == vec
+    assert sparse([F(0), F(0)]) == () and dense((), 2) == [F(0), F(0)]
+
+
 def test_rref_frozen():
     rows = [[F(2), F(4), F(2)], [F(1), F(2), F(3)], [F(0), F(0), F(4)]]
-    red, piv = rref(rows)
-    assert red == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
+    red, piv = rref(rows_of(rows))
+    assert dense_rows(red, 3) == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
     assert piv == [0, 2]
-    assert rank_of(rows) == 2
+    assert rank_of(rows_of(rows)) == 2
 
 
 def test_solve_and_nullspace():
     rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    x = solve(rows, [F(3), F(2)])
+    x = solve(cols_of(rows), sparse([F(3), F(2)]))
     assert x is not None
     for row, b in zip(rows, [F(3), F(2)]):
         assert sum(r * xi for r, xi in zip(row, x)) == b
-    assert solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
-    ker = nullspace(rows, 3)
+    assert solve(cols_of([[F(1), F(1)], [F(2), F(2)]]), sparse([F(1), F(3)])) is None
+    ker = nullspace(rows_of(rows), 3)
     assert len(ker) == 1
-    assert ker[0] == [F(1), F(-1), F(1)]
+    assert dense(ker[0], 3) == [F(1), F(-1), F(1)]
 
 
 st_matrix = st.integers(1, 4).flatmap(
@@ -147,22 +171,22 @@ st_matrix = st.integers(1, 4).flatmap(
 @given(st_matrix)
 def test_rank_nullity(rows):
     n = len(rows[0])
-    assert rank_of(rows) + len(nullspace(rows, n)) == n
+    assert rank_of(rows_of(rows)) + len(nullspace(rows_of(rows), n)) == n
 
 
 @settings(max_examples=60)
 @given(st_matrix)
 def test_rref_spans_the_same_rowspace(rows):
-    red, piv = rref(rows)
+    red, piv = rref(rows_of(rows))
     for r in rows:
-        assert in_span(red, piv, r)
-    assert rank_of(rows + red) == len(red)
+        assert in_span(red, piv, sparse(r))
+    assert rank_of(rows_of(rows) + red) == len(red)
 
 
 def test_intersect_with_coordinates():
-    rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
+    rows = rows_of([[F(1), F(1), F(0)], [F(0), F(1), F(1)]])
     got = intersect_with_coordinates(rows, {0, 1})
-    assert got == [[F(1), F(1), F(0)]]
+    assert dense_rows(got, 3) == [[F(1), F(1), F(0)]]
     assert intersect_with_coordinates(rows, {0, 1, 2}) == rref(rows)[0]
     assert intersect_with_coordinates(rows, set()) == []
 
@@ -173,35 +197,36 @@ def test_echelon_ignores_row_order(rows, rnd):
     n = len(rows[0])
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    ech = Echelon(n, rows)
-    again = Echelon(n, shuffled)
-    assert again.dense() == ech.dense() == rref(rows)[0]
-    assert again.pivots() == ech.pivots() == rref(rows)[1]
-    assert len(ech) == rank_of(rows)
+    ech = Echelon(rows_of(rows))
+    again = Echelon(rows_of(shuffled))
+    red, piv = rref(rows_of(rows))
+    assert again.rows() == ech.rows() == red
+    assert again.pivots() == ech.pivots() == piv
+    assert len(ech) == rank_of(rows_of(rows))
 
 
 def test_echelon_add_reduce_contains():
-    ech = Echelon(3)
-    assert ech.add([F(0), F(2), F(4)])
-    assert not ech.add([F(0), F(1), F(2)])
-    assert ech.add([F(3), F(3), F(0)])
-    assert ech.dense() == [[F(1), F(0), F(-2)], [F(0), F(1), F(2)]]
-    assert ech.contains([F(1), F(1), F(0)])
-    assert not ech.contains([F(0), F(0), F(1)])
-    assert ech.reduce([F(1), F(1), F(1)]) == [F(0), F(0), F(1)]
+    ech = Echelon()
+    assert ech.add(sparse([F(0), F(2), F(4)]))
+    assert not ech.add(sparse([F(0), F(1), F(2)]))
+    assert ech.add(sparse([F(3), F(3), F(0)]))
+    assert dense_rows(ech.rows(), 3) == [[F(1), F(0), F(-2)], [F(0), F(1), F(2)]]
+    assert ech.contains(sparse([F(1), F(1), F(0)]))
+    assert not ech.contains(sparse([F(0), F(0), F(1)]))
+    assert dense(ech.reduce(sparse([F(1), F(1), F(1)])), 3) == [F(0), F(0), F(1)]
     assert len(ech) == 2 and ech.pivots() == [0, 1]
 
 
 def test_quotient_coordinates():
-    reps = [[F(1), F(0), F(0)]]
-    rels = [[F(0), F(1), F(1)]]
-    assert quotient_coordinates(reps, rels, [F(2), F(3), F(3)]) == [F(2)]
-    assert quotient_coordinates(reps, rels, [F(0), F(0), F(1)]) is None
+    reps = rows_of([[F(1), F(0), F(0)]])
+    rels = rows_of([[F(0), F(1), F(1)]])
+    assert quotient_coordinates(reps, rels, sparse([F(2), F(3), F(3)])) == [F(2)]
+    assert quotient_coordinates(reps, rels, sparse([F(0), F(0), F(1)])) is None
     # with no representatives the answer only says whether vec is a relation
-    assert quotient_coordinates([], rels, [F(0), F(2), F(2)]) == []
-    assert quotient_coordinates([], rels, [F(1), F(0), F(0)]) is None
-    assert quotient_coordinates([], [], [F(0), F(0)]) == []
-    assert quotient_coordinates([], [], [F(0), F(1)]) is None
+    assert quotient_coordinates([], rels, sparse([F(0), F(2), F(2)])) == []
+    assert quotient_coordinates([], rels, sparse([F(1), F(0), F(0)])) is None
+    assert quotient_coordinates([], [], sparse([F(0), F(0)])) == []
+    assert quotient_coordinates([], [], sparse([F(0), F(1)])) is None
 
 
 # -- operator matrices ---------------------------------------------------------
@@ -227,8 +252,8 @@ def test_operator_matrix_shape_and_rank():
     cod = enumerate_basis(Bidegree(1, 1), w)
     m = operator_matrix(d1_inline, dom, cod)
     assert len(m.cols) == 4
-    assert m.rank() == 2
-    assert len(m.kernel_rows()) == 2
+    assert rank_of(m.cols) == 2
+    assert len(nullspace(transpose(m.cols), len(dom))) == 2
 
 
 def test_operator_matrix_overflow():
@@ -244,7 +269,8 @@ def test_apply_to_vector_matches_operator():
     cod = enumerate_basis(Bidegree(2, 2), w)
     m = operator_matrix(d1_inline, dom, cod)
     a = poly("u u1 t0 + 2 l t1")
-    assert cod.poly_of(m.apply_to_vector(dom.vector_of(a))) == d1_inline(a)
+    image = m.apply(sparse(dom.vector_of(a)))
+    assert cod.poly_of(dense(image, len(cod))) == d1_inline(a)
 
 
 # -- homology ------------------------------------------------------------------
@@ -299,14 +325,15 @@ def test_quotient_representatives_prefers_monomials():
     s2 = enumerate_basis(Bidegree(2, 2), w)
     d_in = operator_matrix(d1_inline, s0, s1)
     d_out = operator_matrix(d1_inline, s1, s2)
-    reps = quotient_representatives(s1, d_out.kernel_rows(), d_in.image_rows())
+    kernel = nullspace(transpose(d_out.cols), len(s1))
+    reps = quotient_representatives(s1, kernel, d_in.cols)
     assert [m.format() for _, m in reps] == ["u t1", "l u t1"]
 
 
 def test_quotient_rejects_relations_outside_space():
     amb = enumerate_basis(Bidegree(0, 0), Window(1, 0))
-    e0 = [[F(1), F(0)]]
-    e1 = [[F(0), F(1)]]
+    e0 = [sparse([F(1), F(0)])]
+    e1 = [sparse([F(0), F(1)])]
     with pytest.raises(CompositionError):
         quotient_representatives(amb, e0, e1)
 

@@ -1,10 +1,11 @@
 """The elimination kernel against sympy's exact linear algebra.
 
 sympy shares no code with the package, so agreement on random small
-rational matrices pins every dense view of the Echelon kernel: the reduced
-form and its pivots, the rank, the canonical kernel basis, the particular
+rational matrices pins every view of the Echelon kernel: the reduced form
+and its pivots, the rank, the canonical kernel basis, the particular
 solution with free variables set to zero, and the intersection of a row
-space with a coordinate subspace.
+space with a coordinate subspace.  Matrices are drawn dense, go in through
+sparse() and come back through dense().
 """
 
 from fractions import Fraction
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvcohom.linwin import intersect_with_coordinates, nullspace, rank_of, rref, solve
+from kdvcohom.linwin import (
+    dense,
+    intersect_with_coordinates,
+    nullspace,
+    rank_of,
+    rref,
+    solve,
+    sparse,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -43,18 +52,41 @@ def sympy_rref_rows(matrix):
             for i in range(len(pivots))], list(pivots)
 
 
+def rows_of(matrix):
+    return [sparse(row) for row in matrix]
+
+
+def sympy_solution(rows, b):
+    """The solution of rows @ x = b with free variables zero, or None."""
+    n = len(rows[0])
+    red, pivots = to_sympy([row + [bi] for row, bi in zip(rows, b)]).rref()
+    if n in pivots:
+        return None
+    want = [F(0)] * n
+    for i, pc in enumerate(pivots):
+        want[pc] = to_fraction(red[i, n])
+    return want
+
+
+def solve_dense(rows, b):
+    return solve([sparse(col) for col in zip(*rows)], sparse(b))
+
+
 @settings(max_examples=150)
 @given(st_matrix)
 def test_rref_and_rank_match_sympy(rows):
-    assert rref(rows) == sympy_rref_rows(to_sympy(rows))
-    assert rank_of(rows) == to_sympy(rows).rank()
+    red, pivots = rref(rows_of(rows))
+    n = len(rows[0])
+    assert ([dense(r, n) for r in red], pivots) == sympy_rref_rows(to_sympy(rows))
+    assert rank_of(rows_of(rows)) == to_sympy(rows).rank()
 
 
 @settings(max_examples=150)
 @given(st_matrix)
 def test_nullspace_matches_sympy(rows):
+    n = len(rows[0])
     want = [[to_fraction(x) for x in v] for v in to_sympy(rows).nullspace()]
-    assert nullspace(rows, len(rows[0])) == want
+    assert [dense(v, n) for v in nullspace(rows_of(rows), n)] == want
 
 
 @settings(max_examples=150)
@@ -67,15 +99,24 @@ def test_solve_matches_sympy(rows, data):
         b = [sum((a * x for a, x in zip(row, c)), F(0)) for row in rows]
     else:
         b = data.draw(st.lists(st_entry, min_size=m, max_size=m))
-    red, pivots = to_sympy([row + [bi] for row, bi in zip(rows, b)]).rref()
-    got = solve(rows, b)
-    if n in pivots:
-        assert got is None
-    else:
-        want = [F(0)] * n
-        for i, pc in enumerate(pivots):
-            want[pc] = to_fraction(red[i, n])
-        assert got == want
+    assert solve_dense(rows, b) == sympy_solution(rows, b)
+
+
+@pytest.mark.parametrize("rows,b", [
+    # an all-zero column is a free variable and comes back zero
+    ([[F(0), F(2)], [F(0), F(1)]], [F(4), F(2)]),
+    # the right-hand side is nonzero on a row no column touches
+    ([[F(1), F(1)], [F(0), F(0)]], [F(1), F(3)]),
+    ([[F(0), F(0)]], [F(1)]),
+    # free variables are set to zero
+    ([[F(1), F(2), F(3)], [F(0), F(1), F(1)]], [F(6), F(2)]),
+    ([[F(0), F(1), F(1), F(0)]], [F(5)]),
+])
+def test_solve_edge_cases_match_sympy(rows, b):
+    want = sympy_solution(rows, b)
+    assert solve_dense(rows, b) == want
+    if want is not None:
+        assert [sum((a * x for a, x in zip(row, want)), F(0)) for row in rows] == b
 
 
 @settings(max_examples=150)
@@ -92,4 +133,5 @@ def test_intersect_with_coordinates_matches_sympy(rows, data):
     else:
         combos = [list(a.row(i)) for i in range(a.rows)]
     want = sympy_rref_rows(sympy.Matrix(combos))[0] if combos else []
-    assert intersect_with_coordinates(rows, allowed) == want
+    got = intersect_with_coordinates(rows_of(rows), allowed)
+    assert [dense(r, n) for r in got] == want

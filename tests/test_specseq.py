@@ -14,6 +14,7 @@ from kdvcohom.linwin import (
     Window,
     operator_matrix,
     solve,
+    sparse,
 )
 from kdvcohom.specseq import (
     FilteredSlice,
@@ -130,15 +131,12 @@ def test_pencil_piece_k1_d1_matches_explicit_formula():
     # of representatives
     src_poly = src.rep_polys()[0]
     img = d1_explicit(src_poly, 2)
-    gens = list(dst.cocycle_rows)
-    rows = [[g[i] for g in gens] for i in range(len(gens[0]))]
-    dst_basis = fs.bases[4]
-    coords = solve(rows, dst_basis.vector_of(img))
+    target = sparse(fs.bases[4].vector_of(img))
+    coords = solve([sparse(g) for g in dst.cocycle_rows], target)
     assert coords is not None
     # express over [reps | relations]: generator list is reps first
     full_gens = [r for r, _ in dst.reps] + list(dst.relation_rows)
-    rows = [[g[i] for g in full_gens] for i in range(len(full_gens[0]))]
-    coords = solve(rows, dst_basis.vector_of(img))
+    coords = solve([sparse(g) for g in full_gens], target)
     assert coords is not None
     assert coords[0] == cols[0][0]
 
@@ -156,3 +154,17 @@ def test_pencil_piece_window_counts():
     corner = page(fs, 1, 0, 0)
     assert corner.window_count(Window(5, 1)) == 0  # lambda^2 needs L >= 2
     assert corner.window_count(Window(0, 2)) == 1
+
+
+@pytest.mark.parametrize("c", range(4))
+@pytest.mark.parametrize("k", range(-1, 3))
+def test_pages_keep_the_euler_characteristic(k, c):
+    # every page of a finite complex has the Euler characteristic of the
+    # complex itself, which needs nothing but the basis sizes
+    fs = pencil_filtered_slice(k, c)
+    chi = sum((-1) ** n * fs.dim(n) for n in fs.degrees)
+    levels = range(fs.min_level(), fs.max_level() + 1)
+    for r in range(fs.span_bound() + 2):
+        got = sum((-1) ** n * page(fs, r, p, n - p).dim
+                  for n in fs.degrees for p in levels)
+        assert got == chi, r
