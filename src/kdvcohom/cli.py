@@ -25,7 +25,7 @@ from .acceptance import (
     windowed_page_count,
 )
 from .algebra import Bidegree, format_poly
-from .cohomeng import KINDS, dims_table, piece_count_range, piece_homology
+from .cohomeng import KINDS, dims_table, p_bound, piece_count_range, piece_homology
 from .linwin import DEFAULT_LADDER, Window, window_reps
 
 _SCHEMA = 1
@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(args) -> Tuple[dict, bool, str]:
+def _cmd_verify(args, parser) -> Tuple[dict, bool, str]:
+    if args.max_d < 0:
+        parser.error("--max-d must be at least 0")
     names = tuple(args.suite) if args.suite else VERIFY_SUITES
     results = [run_verify_suite(nm, max_d=args.max_d, window=args.window)
                for nm in names]
@@ -172,7 +174,15 @@ def _cmd_pages(args, parser) -> Tuple[dict, bool, str]:
     return payload, True, "\n".join(lines)
 
 
-def _cmd_bh(args) -> Tuple[dict, bool, str]:
+def _cmd_bh(args, parser) -> Tuple[dict, bool, str]:
+    if args.max_d < 0:
+        parser.error("--max-d must be at least 0")
+    for p, d in args.bidegree or ():
+        if d > args.max_d:
+            parser.error(f"--bidegree {p},{d} lies above --max-d {args.max_d}")
+        if d < 0 or not 0 <= p <= p_bound(d):
+            parser.error(f"--bidegree {p},{d} is empty: no monomial has "
+                         f"super degree {p} and standard degree {d}")
     kinds = tuple(args.kind) if args.kind else ("bh_A", "bh_F")
     w = args.window
     wanted = set(map(tuple, args.bidegree)) if args.bidegree else None
@@ -231,11 +241,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        payload, ok, text = _cmd_verify(args)
+        payload, ok, text = _cmd_verify(args, parser)
     elif args.command == "pages":
         payload, ok, text = _cmd_pages(args, parser)
     elif args.command == "bh":
-        payload, ok, text = _cmd_bh(args)
+        payload, ok, text = _cmd_bh(args, parser)
     else:
         payload, ok, text = _cmd_acceptance(args, parser)
     if args.format == "json":

@@ -8,9 +8,15 @@ piece preserved by the pencil differentials.
 Vectors over a slice basis are Rows: tuples of (column, nonzero Fraction)
 pairs in increasing column order, from the columns of an OperatorMatrix to
 the rows of an echelon form.  Every elimination runs through one kernel,
-the Echelon class: a span kept as sparse Fraction rows in fully reduced row
-echelon form, pivoting on the first nonzero column in the canonical
-monomial order.  rref, rank_of, reduce_against, in_span, solve, nullspace,
+the Echelon class: a span kept in fully reduced row echelon form, pivoting
+on the first nonzero column in the canonical monomial order.  Inside it
+the arithmetic is on Python ints only: each stored row is a primitive
+integer row (gcd 1, positive pivot entry), nonzero on no other row's
+pivot, and rows are combined fraction-free by cross-multiplication.
+Fractions appear only where Rows go in (scaled once by the lcm of their
+denominators; an entry that is not an int or a Fraction raises TypeError)
+and come out (divided by the pivot entry, or by the scale of a remainder).
+rref, rank_of, reduce_against, in_span, solve, nullspace,
 intersect_with_coordinates and quotient_representatives take and return
 Rows and are thin views of it; only solve hands back a dense coordinate
 vector.  sparse() and dense() convert at the edges, where published
@@ -24,6 +30,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import index
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Bidegree, DiffPoly, Monomial
@@ -229,72 +237,118 @@ def transpose(cols: Sequence[Row]) -> List[Row]:
     return [tuple(rows[i]) for i in sorted(rows)]
 
 
-class Echelon:
-    """A span held as sparse rows in fully reduced row echelon form.
+def _integers(row: Row) -> Tuple[Dict[int, int], int]:
+    """row as a col -> int dict v and a positive int den with row == v / den.
 
-    Rows are col -> Fraction dicts keyed by their pivot, the first nonzero
-    column; every pivot entry is 1 and no row touches another row's pivot.
-    Rows go in one at a time as Rows, so extending a span never repeats the
-    work already done on it and never scans a structural zero, and the form
-    reached does not depend on the order the rows came in.  This is the
-    only place in the package where multiples of rows are subtracted.
+    den is the lcm of the entries' denominators.  An entry without an
+    integer numerator and denominator (a float, say) raises TypeError.
+    """
+    try:
+        den = lcm(*[x.denominator for _, x in row])
+        return {j: index(x.numerator) * (den // x.denominator) for j, x in row}, den
+    except (AttributeError, TypeError):
+        for j, x in row:
+            try:
+                index(x.numerator), index(x.denominator)
+            except (AttributeError, TypeError):
+                raise TypeError(f"entry {x!r} in column {j} is not an int "
+                                f"or a Fraction") from None
+        raise
+
+
+def _fractions(v: Dict[int, int], den: int) -> Row:
+    """The Row v / den."""
+    return tuple((j, Fraction(v[j], den)) for j in sorted(v))
+
+
+class Echelon:
+    """A span held as sparse integer rows in fully reduced row echelon form.
+
+    Rows are col -> int dicts keyed by their pivot, the first nonzero
+    column.  The entries of a row have gcd 1 and its pivot entry is
+    positive; no row is nonzero on another row's pivot.  Dividing each row
+    by its pivot entry gives the reduced row echelon form, which is unique,
+    so the integer rows are too.  Rows go in one at a time as Rows, scaled
+    once by the lcm of their denominators; from there on every step is
+    fraction-free (Bareiss 1968): a row is cleared at a pivot by
+    cross-multiplying with the pivot row, never by dividing.  Extending a
+    span never repeats the work already done on it and never scans a
+    structural zero, and the form reached does not depend on the order the
+    rows came in.  This is the only place in the package where multiples
+    of rows are subtracted.
     """
 
     def __init__(self, rows: Iterable[Row] = ()):
-        self._rows: Dict[int, Dict[int, Fraction]] = {}
+        self._rows: Dict[int, Dict[int, int]] = {}
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _reduced(self, row: Row) -> Dict[int, Fraction]:
-        v = dict(row)
+    @staticmethod
+    def _primitive(v: Dict[int, int]) -> Dict[int, int]:
+        """v divided by the gcd of its entries, signed to make the first positive."""
+        g = gcd(*v.values())
+        if v[min(v)] < 0:
+            g = -g
+        return v if g == 1 else {j: x // g for j, x in v.items()}
+
+    @staticmethod
+    def _cleared(v: Dict[int, int], r: Dict[int, int], pc: int) -> Tuple[Dict[int, int], int]:
+        """(a*v - b*r, a): v cleared at pc by the row r, fraction-free.
+
+        a and b are r[pc] and v[pc] divided by their gcd; r[pc] is a positive
+        pivot entry, so a > 0.  v is updated in place when a == 1.
+        """
+        a, b = r[pc], v[pc]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            v = {j: a * x for j, x in v.items()}
+        for j, x in r.items():
+            nv = v.get(j, 0) - b * x
+            if nv:
+                v[j] = nv
+            else:
+                del v[j]
+        return v, a
+
+    def _reduced(self, row: Row) -> Tuple[Dict[int, int], int]:
+        """(v, den) with v / den == row minus its component in the span."""
+        v, den = _integers(row)
         # a pivot row is zero on every other pivot, so one pass suffices
         for pc in [j for j in v if j in self._rows]:
-            f = v[pc]
-            for j, b in self._rows[pc].items():
-                nv = v.get(j, F0) - f * b
-                if nv:
-                    v[j] = nv
-                else:
-                    del v[j]
-        return v
+            v, a = self._cleared(v, self._rows[pc], pc)
+            den *= a
+        return v, den
 
     def add(self, row: Row) -> bool:
         """Extend the span by row; False when row already lies in it."""
-        v = self._reduced(row)
+        v = self._reduced(row)[0]
         if not v:
             return False
+        v = self._primitive(v)
         pc = min(v)
-        pv = v[pc]
-        if pv != 1:
-            v = {j: x / pv for j, x in v.items()}
-        for other in self._rows.values():
-            f = other.get(pc)
-            if f:
-                for j, b in v.items():
-                    nv = other.get(j, F0) - f * b
-                    if nv:
-                        other[j] = nv
-                    else:
-                        del other[j]
+        for opc, other in self._rows.items():
+            if pc in other:
+                self._rows[opc] = self._primitive(self._cleared(other, v, pc)[0])
         self._rows[pc] = v
         return True
 
     def reduce(self, row: Row) -> Row:
         """row minus its component in the span; zero at every pivot."""
-        return _row(self._reduced(row))
+        return _fractions(*self._reduced(row))
 
     def contains(self, row: Row) -> bool:
-        return not self._reduced(row)
+        return not self._reduced(row)[0]
 
     def pivots(self) -> List[int]:
         return sorted(self._rows)
 
     def rows(self) -> List[Row]:
-        """The rows in pivot order."""
-        return [_row(self._rows[pc]) for pc in self.pivots()]
+        """The rows in pivot order, each divided by its pivot entry."""
+        return [_fractions(self._rows[pc], self._rows[pc][pc]) for pc in self.pivots()]
 
 
 def rref(rows: Sequence[Row]):

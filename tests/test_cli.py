@@ -125,3 +125,19 @@ def test_out_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["command"] == "bh"
     assert doc["tables"]["bh_A"]["0,0"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # a spot above the degree bound was never computed
+    ["bh", "--kind", "dlambda_A", "--bidegree", "3,3", "--max-d", "2",
+     "--window", "2:1"],
+    # no monomial has super degree 3 at standard degree 2
+    ["bh", "--bidegree", "3,2", "--max-d", "2"],
+    ["bh", "--bidegree=-1,0"],
+    ["bh", "--max-d", "-1"],
+    ["verify", "--max-d", "-1"],
+])
+def test_uncomputed_spots_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2

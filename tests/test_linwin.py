@@ -7,6 +7,8 @@ written densely and converted with sparse() and dense().
 """
 
 import itertools
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -191,18 +193,63 @@ def test_intersect_with_coordinates():
     assert intersect_with_coordinates(rows, set()) == []
 
 
+st_int_matrix = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+        min_size=1, max_size=5))
+
+
+def assert_integer_form(ech):
+    """Stored rows are primitive int rows with a positive pivot entry, and
+    no row is nonzero on another row's pivot."""
+    for pc, row in ech._rows.items():
+        assert min(row) == pc and row[pc] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert not any(j in ech._rows for j in row if j != pc)
+
+
 @settings(max_examples=60)
-@given(st_matrix, st.randoms(use_true_random=False))
+@given(st_int_matrix, st.randoms(use_true_random=False))
 def test_echelon_ignores_row_order(rows, rnd):
-    n = len(rows[0])
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     ech = Echelon(rows_of(rows))
     again = Echelon(rows_of(shuffled))
-    red, piv = rref(rows_of(rows))
+    assert_integer_form(ech)
+    assert_integer_form(again)
+    assert again._rows == ech._rows
+    red, piv = rref([sparse([F(x) for x in row]) for row in rows])
     assert again.rows() == ech.rows() == red
+    assert all(type(x) is Fraction for row in ech.rows() for _, x in row)
     assert again.pivots() == ech.pivots() == piv
     assert len(ech) == rank_of(rows_of(rows))
+
+
+def test_integer_entries_give_fractions():
+    red, piv = rref([sparse([2, 4, 3])])
+    assert red == [((0, F(1)), (1, F(2)), (2, F(3, 2)))] and piv == [0]
+    x = solve([sparse([2]), sparse([0])], sparse([3]))
+    assert x == [F(3, 2), F(0)]
+    ker = nullspace([sparse([2, 4, 3])], 3)
+    assert ker == [((0, F(-2)), (1, F(1))), ((0, F(-3, 2)), (2, F(1)))]
+    rem = Echelon([sparse([2, 4, 0])]).reduce(sparse([3, 0, 5]))
+    assert rem == ((1, F(-6)), (2, F(5)))
+    got = [*(x for row in red for _, x in row), *x,
+           *(x for row in ker for _, x in row), *(x for _, x in rem)]
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("bad", [1.5, Decimal("1.5")], ids=["float", "Decimal"])
+@pytest.mark.parametrize("call", [
+    lambda row: rref([row]),
+    lambda row: nullspace([row], 3),
+    lambda row: Echelon([((0, F(1)),)]).reduce(row),
+    lambda row: Echelon([((0, F(1)),)]).contains(row),
+], ids=["rref", "nullspace", "reduce", "contains"])
+def test_inexact_entries_raise_type_error(bad, call):
+    with pytest.raises(TypeError, match="column 2"):
+        call(((0, F(1)), (2, bad)))
 
 
 def test_echelon_add_reduce_contains():

@@ -2,10 +2,12 @@
 
 sympy shares no code with the package, so agreement on random small
 rational matrices pins every view of the Echelon kernel: the reduced form
-and its pivots, the rank, the canonical kernel basis, the particular
-solution with free variables set to zero, and the intersection of a row
-space with a coordinate subspace.  Matrices are drawn dense, go in through
-sparse() and come back through dense().
+and its pivots, the rank, the canonical kernel basis, the exact remainder
+of a vector against a reduced basis, the particular solution with free
+variables set to zero, and the intersection of a row space with a
+coordinate subspace.  Entries mix Fractions and ints, small and wide, and
+every result must come back as Fractions.  Matrices are drawn dense, go in
+through sparse() and come back through dense().
 """
 
 from fractions import Fraction
@@ -16,9 +18,11 @@ from hypothesis import strategies as st
 
 from kdvcohom.linwin import (
     dense,
+    in_span,
     intersect_with_coordinates,
     nullspace,
     rank_of,
+    reduce_against,
     rref,
     solve,
     sparse,
@@ -28,9 +32,14 @@ sympy = pytest.importorskip("sympy")
 
 F = Fraction
 
-# mostly zeros, like the operator matrices the package eliminates
-st_entry = st.one_of(st.just(F(0)), st.just(F(0)),
-                     st.fractions(-3, 3, max_denominator=4))
+# mostly zeros and small entries, like the operator matrices the package
+# eliminates, so that ranks fall short; plus plain ints and wide entries
+# with mixed denominators, which the integer kernel scales and cross-
+# multiplies before it divides anything out
+st_entry = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.fractions(-3, 3, max_denominator=4),
+    st.integers(-3, 3), st.integers(-10**12, 10**12),
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 97)))
 
 st_matrix = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
     lambda mn: st.lists(st.lists(st_entry, min_size=mn[1], max_size=mn[1]),
@@ -40,6 +49,10 @@ st_matrix = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 def to_sympy(rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                          for row in rows])
+
+
+def is_fraction_row(row):
+    return all(type(x) is Fraction for _, x in row)
 
 
 def to_fraction(x) -> Fraction:
@@ -78,6 +91,7 @@ def test_rref_and_rank_match_sympy(rows):
     red, pivots = rref(rows_of(rows))
     n = len(rows[0])
     assert ([dense(r, n) for r in red], pivots) == sympy_rref_rows(to_sympy(rows))
+    assert all(map(is_fraction_row, red))
     assert rank_of(rows_of(rows)) == to_sympy(rows).rank()
 
 
@@ -86,7 +100,33 @@ def test_rref_and_rank_match_sympy(rows):
 def test_nullspace_matches_sympy(rows):
     n = len(rows[0])
     want = [[to_fraction(x) for x in v] for v in to_sympy(rows).nullspace()]
-    assert [dense(v, n) for v in nullspace(rows_of(rows), n)] == want
+    got = nullspace(rows_of(rows), n)
+    assert [dense(v, n) for v in got] == want
+    assert all(map(is_fraction_row, got))
+
+
+@settings(max_examples=150)
+@given(st_matrix, st.data())
+def test_reduce_against_matches_sympy(rows, data):
+    n = len(rows[0])
+    red, pivots = to_sympy(rows).rref()
+    basis = [red.row(i) for i in range(len(pivots))]
+    if data.draw(st.booleans()):
+        # a vector in the row space
+        c = data.draw(st.lists(st_entry, min_size=len(rows), max_size=len(rows)))
+        v = [sum((ci * row[j] for ci, row in zip(c, rows)), F(0)) for j in range(n)]
+    else:
+        v = data.draw(st.lists(st_entry, min_size=n, max_size=n))
+    # the exact remainder v - sum v[pc] * row_pc, not a multiple of it
+    want = to_sympy([v])
+    for pc, row in zip(pivots, basis):
+        want -= want[0, pc] * row
+    want = [to_fraction(x) for x in want]
+    basis_rows = [sparse([to_fraction(x) for x in row]) for row in basis]
+    got = reduce_against(basis_rows, list(pivots), sparse(v))
+    assert dense(got, n) == want
+    assert is_fraction_row(got)
+    assert in_span(basis_rows, list(pivots), sparse(v)) == (not any(want))
 
 
 @settings(max_examples=150)
@@ -99,7 +139,9 @@ def test_solve_matches_sympy(rows, data):
         b = [sum((a * x for a, x in zip(row, c)), F(0)) for row in rows]
     else:
         b = data.draw(st.lists(st_entry, min_size=m, max_size=m))
-    assert solve_dense(rows, b) == sympy_solution(rows, b)
+    got = solve_dense(rows, b)
+    assert got == sympy_solution(rows, b)
+    assert got is None or all(type(x) is Fraction for x in got)
 
 
 @pytest.mark.parametrize("rows,b", [
@@ -135,3 +177,4 @@ def test_intersect_with_coordinates_matches_sympy(rows, data):
     want = sympy_rref_rows(sympy.Matrix(combos))[0] if combos else []
     got = intersect_with_coordinates(rows_of(rows), allowed)
     assert [dense(r, n) for r in got] == want
+    assert all(map(is_fraction_row, got))
