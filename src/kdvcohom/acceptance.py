@@ -370,29 +370,41 @@ def check_page_two_collapse() -> Tuple[bool, str]:
     return passed, detail
 
 
+# closed forms of the windowed tables to degree 5: each listed spot has
+# dimension L + 1 ("L"), N + 1 ("N") or one ("1"); every other spot vanishes
+_CLOSED_FORMS = {
+    "dlambda_A": ("spaces", {(0, 0): "L", (3, 3): "N"}),
+    "dlambda_F": ("functionals", {(0, 0): "L", (2, 3): "N", (3, 3): "N"}),
+    "bh_A": ("spaces", {(0, 0): "1", (2, 1): "N", (3, 3): "N"}),
+    "bh_F": ("functionals", {(0, 0): "1", (1, 1): "N", (2, 1): "N",
+                             (2, 3): "N", (3, 3): "N"}),
+}
+
+
+def _table_mismatches(kinds: Sequence[str]) -> list:
+    """Departures of the tables of the given kinds from their closed forms,
+    as (presentation, (N, L), {spot: (got, expected)}) over the ladder."""
+    bad = []
+    for w in DEFAULT_LADDER:
+        size = {"L": w.L + 1, "N": w.N + 1, "1": 1}
+        for kind in kinds:
+            label, spots = _CLOSED_FORMS[kind]
+            got = dims_table(kind, w, 5)
+            exp = {bd: 0 for bd in got}
+            for (p, d), code in spots.items():
+                exp[Bidegree(p, d)] = size[code]
+            if got != exp:
+                diff = {tuple(bd): (got[bd], exp[bd])
+                        for bd in got if got[bd] != exp[bd]}
+                bad.append((label, (w.N, w.L), diff))
+    return bad
+
+
 def check_pencil_cohomology_tables() -> Tuple[bool, str]:
     """Full pencil cohomology: parameter polynomials at (0,0), one smooth
     family at (3,3) in the space table; (0,0), (2,3), (3,3) in the
     functional table; plus exact convergence of every audited piece."""
-    bad = []
-    for w in DEFAULT_LADDER:
-        got_a = dims_table("dlambda_A", w, 5)
-        exp_a = {bd: 0 for bd in got_a}
-        exp_a[Bidegree(0, 0)] = w.L + 1
-        exp_a[Bidegree(3, 3)] = w.N + 1
-        if got_a != exp_a:
-            diff = {tuple(bd): (got_a[bd], exp_a[bd])
-                    for bd in got_a if got_a[bd] != exp_a[bd]}
-            bad.append(("spaces", (w.N, w.L), diff))
-        got_f = dims_table("dlambda_F", w, 5)
-        exp_f = {bd: 0 for bd in got_f}
-        exp_f[Bidegree(0, 0)] = w.L + 1
-        exp_f[Bidegree(2, 3)] = w.N + 1
-        exp_f[Bidegree(3, 3)] = w.N + 1
-        if got_f != exp_f:
-            diff = {tuple(bd): (got_f[bd], exp_f[bd])
-                    for bd in got_f if got_f[bd] != exp_f[bd]}
-            bad.append(("functionals", (w.N, w.L), diff))
+    bad = _table_mismatches(("dlambda_A", "dlambda_F"))
     audited = 0
     for k in range(-1, 3):
         for c in range(5):
@@ -410,28 +422,7 @@ def check_pencil_cohomology_tables() -> Tuple[bool, str]:
 
 def check_joint_kernel_tables() -> Tuple[bool, str]:
     """Joint-kernel cohomology tables and the explicit density at (1,1)."""
-    bad = []
-    for w in DEFAULT_LADDER:
-        got_a = dims_table("bh_A", w, 5)
-        exp_a = {bd: 0 for bd in got_a}
-        exp_a[Bidegree(0, 0)] = 1
-        exp_a[Bidegree(2, 1)] = w.N + 1
-        exp_a[Bidegree(3, 3)] = w.N + 1
-        if got_a != exp_a:
-            diff = {tuple(bd): (got_a[bd], exp_a[bd])
-                    for bd in got_a if got_a[bd] != exp_a[bd]}
-            bad.append(("spaces", (w.N, w.L), diff))
-        got_f = dims_table("bh_F", w, 5)
-        exp_f = {bd: 0 for bd in got_f}
-        exp_f[Bidegree(0, 0)] = 1
-        exp_f[Bidegree(1, 1)] = w.N + 1
-        exp_f[Bidegree(2, 1)] = w.N + 1
-        exp_f[Bidegree(2, 3)] = w.N + 1
-        exp_f[Bidegree(3, 3)] = w.N + 1
-        if got_f != exp_f:
-            diff = {tuple(bd): (got_f[bd], exp_f[bd])
-                    for bd in got_f if got_f[bd] != exp_f[bd]}
-            bad.append(("functionals", (w.N, w.L), diff))
+    bad = _table_mismatches(("bh_A", "bh_F"))
     reps = 0
     for c in range(1, 7):
         ph = piece_homology("bh_F", 1, 1, c)

@@ -15,16 +15,27 @@ Two gradations are used throughout the package:
   while u, l and rational coefficients count 0;
 * super degree p: the number of odd factors.
 
-Everything here is exact; coefficients are fractions.Fraction and no
-floating point is ever produced.
+Every derivative of the algebra rests on one Leibniz rule, written once in
+monomial_partials: for each variable present in a monomial it gives the
+exponent (or, for an odd variable, the left-derivative sign) and the
+monomial with one copy of the variable removed.  partial filters it to one
+variable, and derivation() places the image of each variable on the left
+of the rest, which is how dtot, the evolutionary fields of varcalc and the
+page-zero differential of kdvpencil are built.
+
+Everything here is exact; coefficients are fractions.Fraction (an int is
+converted, anything else raises TypeError) and no floating point is ever
+produced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
+
+_F0 = Fraction(0)
 
 
 class Bidegree(NamedTuple):
@@ -189,7 +200,12 @@ class DiffPoly:
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    if not isinstance(c, int):
+                        raise TypeError(
+                            f"coefficient {c!r} of {m.format() or '1'} is not "
+                            f"an int or a Fraction")
+                    c = Fraction(c)
                 if c:
                     clean[m] = c
         self.terms = clean
@@ -202,24 +218,24 @@ class DiffPoly:
 
     @classmethod
     def scalar(cls, c: Scalar) -> "DiffPoly":
-        return cls({ONE_MONO: Fraction(c)})
+        return cls({ONE_MONO: c})
 
     @classmethod
     def monomial(cls, m: Monomial, c: Scalar = 1) -> "DiffPoly":
-        return cls({m: Fraction(c)})
+        return cls({m: c})
 
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, _F0) + c
         return DiffPoly(terms)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
+            terms[m] = terms.get(m, _F0) - c
         return DiffPoly(terms)
 
     def __neg__(self) -> "DiffPoly":
@@ -228,6 +244,8 @@ class DiffPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return DiffPoly({m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -235,7 +253,7 @@ class DiffPoly:
                 if res is None:
                     continue
                 m, sign = res
-                terms[m] = terms.get(m, Fraction(0)) + sign * c1 * c2
+                terms[m] = terms.get(m, _F0) + sign * c1 * c2
         return DiffPoly(terms)
 
     def __rmul__(self, other):
@@ -262,7 +280,7 @@ class DiffPoly:
         return sorted(self.terms)
 
     def coeff(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+        return self.terms.get(m, _F0)
 
     def bidegree(self) -> Optional[Bidegree]:
         """Bidegree if homogeneous in both gradations, else None."""
@@ -309,6 +327,27 @@ def mul(a: DiffPoly, b: DiffPoly) -> DiffPoly:
     return a * b
 
 
+def monomial_partials(m: Monomial):
+    """The partial derivatives of one monomial, one per variable present.
+
+    Yields (variable, factor, rest) with d m / d variable = factor * rest.
+    variable is named as _parse_var names it: ('lam', None), ('u', s) or
+    ('t', s); rest is m with one copy of the variable removed.  The factor
+    is the exponent for l, u and u^s; for t^s it is the left-derivative
+    sign (-1)^k, k the number of odd factors preceding t^s.
+    """
+    lam, u0, even, odd = m
+    if lam:
+        yield ("lam", None), lam, Monomial(lam - 1, u0, even, odd)
+    if u0:
+        yield ("u", 0), u0, Monomial(lam, u0 - 1, even, odd)
+    for i, (s, e) in enumerate(even):
+        fewer = even[:i] + (((s, e - 1),) if e > 1 else ()) + even[i + 1:]
+        yield ("u", s), e, Monomial(lam, u0, fewer, odd)
+    for k, s in enumerate(odd):
+        yield ("t", s), (-1 if k % 2 else 1), Monomial(lam, u0, even, odd[:k] + odd[k + 1:])
+
+
 def partial(a: DiffPoly, var: str) -> DiffPoly:
     """Partial derivative by one generator.
 
@@ -316,35 +355,35 @@ def partial(a: DiffPoly, var: str) -> DiffPoly:
     left derivative: differentiating t^s in a monomial contributes the sign
     (-1)^k where k is the number of odd factors preceding t^s.
     """
-    kind, s = _parse_var(var)
+    target = _parse_var(var)
     terms = {}
     for m, c in a.terms.items():
-        if kind == "lam":
-            if m.lam:
-                mm = Monomial(m.lam - 1, m.u0, m.even, m.odd)
-                terms[mm] = terms.get(mm, Fraction(0)) + c * m.lam
-        elif kind == "u":
-            if s == 0:
-                if m.u0:
-                    mm = Monomial(m.lam, m.u0 - 1, m.even, m.odd)
-                    terms[mm] = terms.get(mm, Fraction(0)) + c * m.u0
-            else:
-                ev = dict(m.even)
-                e = ev.get(s, 0)
-                if e:
-                    if e == 1:
-                        del ev[s]
-                    else:
-                        ev[s] = e - 1
-                    mm = Monomial(m.lam, m.u0, tuple(sorted(ev.items())), m.odd)
-                    terms[mm] = terms.get(mm, Fraction(0)) + c * e
-        else:
-            if s in m.odd:
-                k = m.odd.index(s)
-                od = m.odd[:k] + m.odd[k + 1:]
-                mm = Monomial(m.lam, m.u0, m.even, od)
-                sign = -1 if k % 2 else 1
-                terms[mm] = terms.get(mm, Fraction(0)) + c * sign
+        for v, factor, rest in monomial_partials(m):
+            if v == target:
+                terms[rest] = terms.get(rest, _F0) + c * factor
+    return DiffPoly(terms)
+
+
+def derivation(a: DiffPoly, even_image: Callable[[int], DiffPoly],
+               odd_image: Callable[[int], DiffPoly]) -> DiffPoly:
+    """The derivation sending u^s to even_image(s) and t^s to odd_image(s).
+
+    The parameter l is constant.  On a monomial it is the sum over its
+    variables of the image times the partial derivative, the image
+    multiplied on the left, so an odd image gives an odd derivation.
+    """
+    terms = {}
+    for m, c in a.terms.items():
+        for (kind, s), factor, rest in monomial_partials(m):
+            if kind == "lam":
+                continue
+            cf = c * factor
+            image = even_image(s) if kind == "u" else odd_image(s)
+            for mi, ci in image.terms.items():
+                res = mul_monomials(mi, rest)
+                if res is not None:
+                    mm, sign = res
+                    terms[mm] = terms.get(mm, _F0) + sign * cf * ci
     return DiffPoly(terms)
 
 
@@ -354,21 +393,7 @@ def dtot(a: DiffPoly) -> DiffPoly:
     Annihilates l.  Raises the standard degree by one and preserves both
     the super degree and the even-factor count.
     """
-    out = DiffPoly.zero()
-    orders_u = set()
-    orders_t = set()
-    for m in a.terms:
-        if m.u0:
-            orders_u.add(0)
-        for s, _ in m.even:
-            orders_u.add(s)
-        for s in m.odd:
-            orders_t.add(s)
-    for s in sorted(orders_u):
-        out = out + u_jet(s + 1) * partial(a, "u" if s == 0 else f"u{s}")
-    for s in sorted(orders_t):
-        out = out + theta(s + 1) * partial(a, f"t{s}")
-    return out
+    return derivation(a, lambda s: u_jet(s + 1), lambda s: theta(s + 1))
 
 
 def bidegree(a: DiffPoly) -> Optional[Bidegree]:

@@ -44,7 +44,8 @@ def _parse_window(text: str) -> Window:
 
 
 def _parse_windows(text: str) -> Tuple[Window, ...]:
-    return tuple(_parse_window(part) for part in text.split(","))
+    # a repeated window is reported once, where it first appears
+    return tuple(dict.fromkeys(_parse_window(part) for part in text.split(",")))
 
 
 def _parse_bidegree(text: str) -> Bidegree:
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args, parser) -> Tuple[dict, bool, str]:
     if args.max_d < 0:
         parser.error("--max-d must be at least 0")
-    names = tuple(args.suite) if args.suite else VERIFY_SUITES
+    names = tuple(dict.fromkeys(args.suite)) if args.suite else VERIFY_SUITES
     results = [run_verify_suite(nm, max_d=args.max_d, window=args.window)
                for nm in names]
     ok = all(r.passed for r in results)
@@ -183,7 +184,7 @@ def _cmd_bh(args, parser) -> Tuple[dict, bool, str]:
         if d < 0 or not 0 <= p <= p_bound(d):
             parser.error(f"--bidegree {p},{d} is empty: no monomial has "
                          f"super degree {p} and standard degree {d}")
-    kinds = tuple(args.kind) if args.kind else ("bh_A", "bh_F")
+    kinds = tuple(dict.fromkeys(args.kind)) if args.kind else ("bh_A", "bh_F")
     w = args.window
     wanted = set(map(tuple, args.bidegree)) if args.bidegree else None
     tables = {}

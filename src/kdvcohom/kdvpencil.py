@@ -22,6 +22,7 @@ from .algebra import (
     DiffPoly,
     Monomial,
     ZERO,
+    derivation,
     lam_var,
     mul,
     partial,
@@ -109,9 +110,8 @@ def d0_explicit(x: DiffPoly, q: int) -> DiffPoly:
     even_coef = (u_jet(0) - lam_var()) * theta(q + 1) \
         + Fraction(1, 2) * u_jet(q + 1) * theta(0)
     odd_coef = Fraction(1, 2) * theta(0) * theta(q + 1)
-    out = mul(even_coef, partial(x, "u" if q == 0 else f"u{q}"))
-    out = out + mul(odd_coef, partial(x, f"t{q}"))
-    return out
+    return derivation(x, lambda s: even_coef if s == q else ZERO,
+                      lambda s: odd_coef if s == q else ZERO)
 
 
 # -- page one --------------------------------------------------------------
@@ -164,21 +164,7 @@ def e1_basis(p: int, q: int, w: Window) -> SliceBasis:
     return SliceBasis(bd, w, tuple(sorted(monos)), f"E1({p},{q})")
 
 
-def e1_piece_basis(p: int, q: int, c: int) -> SliceBasis:
-    """Fixed even-count part of the page-one model basis."""
-    bd = Bidegree(p, p + q)
-    if (p, q) == (0, 0):
-        monos = (Monomial(lam=c),)
-        return SliceBasis(Bidegree(0, 0), None, monos, f"E1(0,0) c={c}")
-    monos = []
-    if p >= 1 and q >= 2:
-        for f in _cofactors(p, q, count=c):
-            monos.append(Monomial(0, f.u0, f.even, tuple(sorted(f.odd + (0, q)))))
-    return SliceBasis(bd, None, tuple(sorted(monos)), f"E1({p},{q}) c={c}")
-
-
-def _cofactors(p: int, q: int, u0_max: Optional[int] = None,
-               count: Optional[int] = None):
+def _cofactors(p: int, q: int, u0_max: int):
     """Cofactor monomials: degree p, top order exactly q - 1, no t0, no l."""
     top = q - 1
     for r in range(p + 1):
@@ -192,15 +178,8 @@ def _cofactors(p: int, q: int, u0_max: Optional[int] = None,
                 jet_top = max([s for s, _ in even] + list(odd), default=0)
                 if jet_top != top:
                     continue
-                mult = sum(e for _, e in even)
-                if count is not None:
-                    u0 = count - mult
-                    if u0 < 0:
-                        continue
+                for u0 in range(u0_max + 1):
                     yield Monomial(0, u0, even, odd)
-                else:
-                    for u0 in range((u0_max if u0_max is not None else 0) + 1):
-                        yield Monomial(0, u0, even, odd)
 
 
 def d1_explicit(x: DiffPoly, q: int) -> DiffPoly:
@@ -325,19 +304,10 @@ def pencil_filtered_slice(k: int, c: int, d_cap: Optional[int] = None) -> Filter
     levels = {}
     diffs = {}
     for bd in bds:
-        basis = enumerate_piece_basis(bd, c)
-        bases[bd.d] = basis
-        levels[bd.d] = tuple(bd.d - m.max_jet() for m in basis.monomials)
-    top = degrees[-1]
-    true_top = subcomplex_bidegrees(k)[-1].d
-    for n in degrees:
-        if n < top:
-            cod = bases[n + 1]
-        elif top < true_top:
-            cod = enumerate_piece_basis(Bidegree(top + 1 - k, top + 1), c)
-        else:
-            cod = SliceBasis(Bidegree(top + 1 - k, top + 1), None, (),
-                             f"empty c={c}")
-        diffs[n] = operator_matrix(d_lambda, bases[n], cod)
+        # the codomain of the top slice is the next piece basis, empty at
+        # the true top of the complex
+        diffs[bd.d] = dlambda_piece_matrix(bd.p, bd.d, c)
+        bases[bd.d] = diffs[bd.d].domain
+        levels[bd.d] = tuple(bd.d - m.max_jet() for m in bases[bd.d].monomials)
     return FilteredSlice(degrees, bases, levels, diffs,
                          label=f"pencil k={k} c={c}")

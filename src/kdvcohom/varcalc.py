@@ -12,21 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .algebra import Bidegree, DiffPoly, ZERO, dtot, mul, partial
-from .linwin import enumerate_piece_basis, operator_matrix, solve, sparse
-
-
-def _orders(a: DiffPoly) -> Tuple[set, set]:
-    """Even and odd jet orders occurring in a (u counts as order 0)."""
-    ev, od = set(), set()
-    for m in a.terms:
-        if m.u0:
-            ev.add(0)
-        for s, _ in m.even:
-            ev.add(s)
-        for s in m.odd:
-            od.add(s)
-    return ev, od
+from .algebra import Bidegree, DiffPoly, ZERO, derivation, dtot, monomial_partials
+from .linwin import F0, enumerate_piece_basis, operator_matrix, solve, sparse
 
 
 def _signed_power(a: DiffPoly, s: int) -> DiffPoly:
@@ -37,22 +24,28 @@ def _signed_power(a: DiffPoly, s: int) -> DiffPoly:
     return out if s % 2 == 0 else -out
 
 
+def _euler(a: DiffPoly, kind: str) -> DiffPoly:
+    """Sum over s of (-dtot)^s d a / d kind^s, the partials grouped by order."""
+    by_order: Dict[int, dict] = {}
+    for m, c in a.terms.items():
+        for (k, s), factor, rest in monomial_partials(m):
+            if k == kind:
+                part = by_order.setdefault(s, {})
+                part[rest] = part.get(rest, F0) + c * factor
+    out = ZERO
+    for s in sorted(by_order):
+        out = out + _signed_power(DiffPoly(by_order[s]), s)
+    return out
+
+
 def delta_u(a: DiffPoly) -> DiffPoly:
     """Variational derivative in the even field: sum of (-dtot)^s d/du^s."""
-    out = ZERO
-    ev, _ = _orders(a)
-    for s in sorted(ev):
-        out = out + _signed_power(partial(a, "u" if s == 0 else f"u{s}"), s)
-    return out
+    return _euler(a, "u")
 
 
 def delta_theta(a: DiffPoly) -> DiffPoly:
     """Variational derivative in the odd field: sum of (-dtot)^s d/dt^s."""
-    out = ZERO
-    _, od = _orders(a)
-    for s in sorted(od):
-        out = out + _signed_power(partial(a, f"t{s}"), s)
-    return out
+    return _euler(a, "t")
 
 
 @dataclass
@@ -88,13 +81,7 @@ class OperatorSpec:
 
 
 def apply_op(op: OperatorSpec, a: DiffPoly) -> DiffPoly:
-    out = ZERO
-    ev, od = _orders(a)
-    for s in sorted(ev):
-        out = out + mul(op.even_gen(s), partial(a, "u" if s == 0 else f"u{s}"))
-    for s in sorted(od):
-        out = out + mul(op.odd_gen(s), partial(a, f"t{s}"))
-    return out
+    return derivation(a, op.even_gen, op.odd_gen)
 
 
 def build_dp(density: DiffPoly) -> OperatorSpec:

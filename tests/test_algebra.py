@@ -5,6 +5,7 @@ Every frozen value below was computed by hand from the sign conventions
 before the implementation existed.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,34 @@ def test_odd_partial_is_left_antiderivation(m1, m2):
     assert lhs == rhs
 
 
+SUPER_VARIABLES = ("l", "u", "u1", "u2", "u3", "t0", "t1", "t2", "t3")
+
+
+@pytest.mark.parametrize("var", SUPER_VARIABLES)
+@settings(max_examples=40)
+@given(a=st_poly, b=st_poly, parity=st.integers(0, 1))
+def test_partial_is_a_super_derivation(var, a, b, parity):
+    # d(a b) = da b + (-1)^(|var| |a|) a db, for a of one parity
+    a = DiffPoly({m: c for m, c in a.terms.items() if m.super_degree() % 2 == parity})
+    sign = -1 if var.startswith("t") and parity else 1
+    assert partial(a * b, var) == partial(a, var) * b + sign * (a * partial(b, var))
+
+
+@pytest.mark.parametrize("text, var, expected", [
+    ("l^3 u t0", "l", "3 l^2 u t0"),
+    ("u^2 u1^3 t2", "u1", "3 u^2 u1^2 t2"),
+    ("u1 u3^2", "u3", "2 u1 u3"),
+    ("u2^4 t0 t2", "u2", "4 u2^3 t0 t2"),
+    ("u t0 t1 t2 t3", "t3", "-1 u t0 t1 t2"),
+    ("u t0 t1 t2 t3", "t2", "u t0 t1 t3"),
+    ("u t0 t1 t2 t3", "t0", "u t1 t2 t3"),
+    ("u1 t1 t2", "t2", "-1 u1 t1"),
+    ("u1 t1 t2", "u", "0"),
+])
+def test_partial_frozen_for_every_kind(text, var, expected):
+    assert partial(poly(text), var) == poly(expected)
+
+
 def test_rejects_unknown_variables():
     with pytest.raises(ValueError):
         partial(ONE, "x")
@@ -218,6 +247,38 @@ def test_parse_oddities():
 @given(st_poly)
 def test_format_parse_round_trip(a):
     assert parse_poly(format_poly(a)) == a
+
+
+# -- exact coefficients ---------------------------------------------------------
+
+
+def test_fraction_coefficients_are_kept_and_ints_converted():
+    m = Monomial(u0=1)
+    c = Fraction(3, 7)
+    assert DiffPoly({m: c}).terms[m] is c
+    for a in (DiffPoly.monomial(m, 2), DiffPoly.scalar(2), DiffPoly({m: 2}),
+              poly("u") * 2, 2 * poly("u"), poly("u") * True):
+        assert all(type(x) is Fraction for x in a.terms.values())
+    assert DiffPoly.monomial(m, 2) == poly("2 u") == poly("u") * 2
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, Decimal("0.1"), "1", complex(1, 0)])
+def test_inexact_coefficients_raise_type_error(bad):
+    m = Monomial(u0=1, odd=(0,))
+    with pytest.raises(TypeError, match="u t0"):
+        DiffPoly.monomial(m, bad)
+    with pytest.raises(TypeError, match="u t0"):
+        DiffPoly({m: bad})
+    with pytest.raises(TypeError, match="1"):
+        DiffPoly.scalar(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "2"])
+def test_inexact_scalars_do_not_multiply(bad):
+    with pytest.raises(TypeError):
+        poly("u") * bad
+    with pytest.raises(TypeError):
+        bad * poly("u")
 
 
 def test_mul_matches_spec_alias():

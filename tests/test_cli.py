@@ -141,3 +141,26 @@ def test_uncomputed_spots_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("repeated, once", [
+    (["bh", "--kind", "bh_A", "--kind", "bh_A", "--max-d", "1", "--window", "1:1"],
+     ["bh", "--kind", "bh_A", "--max-d", "1", "--window", "1:1"]),
+    (["bh", "--kind", "bh_F", "--kind", "bh_A", "--kind", "bh_F", "--max-d", "1",
+      "--window", "1:1"],
+     ["bh", "--kind", "bh_F", "--kind", "bh_A", "--max-d", "1", "--window", "1:1"]),
+    (["pages", "--max-total", "2", "--windows", "2:1,2:1"],
+     ["pages", "--max-total", "2", "--windows", "2:1"]),
+    (["pages", "--max-total", "2", "--windows", "2:1,1:1,2:1"],
+     ["pages", "--max-total", "2", "--windows", "2:1,1:1"]),
+    (["verify", "--suite", "d1_squared", "--suite", "d1_squared", "--max-d", "2",
+      "--window", "2:1"],
+     ["verify", "--suite", "d1_squared", "--max-d", "2", "--window", "2:1"]),
+])
+def test_repeated_selections_report_once(capsys, fmt, repeated, once):
+    # a repeat is dropped and the first-occurrence order kept
+    rc1, out1 = run(capsys, "--format", fmt, *repeated)
+    rc2, out2 = run(capsys, "--format", fmt, *once)
+    assert rc1 == rc2 == 0
+    assert out1 == out2

@@ -23,7 +23,6 @@ from kdvcohom.kdvpencil import (
     d_lambda,
     dlambda_piece_matrix,
     e1_basis,
-    e1_piece_basis,
     filtration_level,
     h_op,
     pencil_filtered_slice,
@@ -143,13 +142,6 @@ def test_e1_basis_vanishing_positions():
     assert len(e1_basis(0, 2, w)) == 0
     assert len(e1_basis(2, 4, w)) == 0   # p <= q - 2 forces an order gap
     assert len(e1_basis(3, 1, w)) == 0
-
-
-def test_e1_piece_basis():
-    b = e1_piece_basis(1, 2, 1)
-    assert {m.format() for m in b.monomials} == {"u1 t0 t2", "u t0 t1 t2"}
-    assert all(m.ucount() == 1 for m in b.monomials)
-    assert e1_piece_basis(0, 0, 2).monomials == (Monomial(lam=2),)
 
 
 def test_d1_explicit_frozen():

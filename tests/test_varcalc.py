@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvcohom.algebra import DiffPoly, ZERO, dtot, mono, poly, theta, u_jet
+from kdvcohom.algebra import DiffPoly, ZERO, dtot, lam_var, mono, poly, theta, u_jet
 from kdvcohom.varcalc import (
     FunctionalClass,
     OperatorSpec,
@@ -79,6 +79,51 @@ def test_operator_is_a_derivation_on_products():
     op = build_dp(poly("1/2 u t0 t1"))
     a, b = poly("u u1"), poly("u^2")
     assert apply_op(op, a * b) == apply_op(op, a) * b + a * apply_op(op, b)
+
+
+def st_homogeneous(parity):
+    """Nonzero polynomials whose terms have a number of odd factors of the
+    given parity (up to three)."""
+    odd = st.sampled_from([parity, parity + 2]).flatmap(
+        lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n, unique=True))
+    term = st.tuples(
+        st.builds(lambda lam, u0, ev, od: mono(lam=lam, u0=u0, even=ev.items(), odd=od),
+                  st.integers(0, 1), st.integers(0, 2),
+                  st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2),
+                  odd),
+        st.fractions(max_denominator=6).filter(bool))
+    return st.lists(term, min_size=1, max_size=2).map(lambda ts: DiffPoly(dict(ts)))
+
+
+# a field of parity e takes the seed of parity e for u and the other for t
+st_seeds = st.tuples(st_homogeneous(0), st_homogeneous(1))
+st_graded = st.integers(0, 1).flatmap(
+    lambda p: st.tuples(st.just(p), st_homogeneous(p)))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=40, deadline=None)
+@given(seeds=st_seeds, graded=st_graded, b=st_poly)
+def test_operator_obeys_leibniz_with_its_parity(parity, seeds, graded, b):
+    # X(a b) = X(a) b + (-1)^(e |a|) a X(b) for a field X of parity e
+    op = OperatorSpec(seeds[parity], seeds[1 - parity])
+    a_parity, a = graded
+    sign = -1 if parity and a_parity else 1
+    assert apply_op(op, a * b) == apply_op(op, a) * b + sign * (a * apply_op(op, b))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=15, deadline=None)
+@given(seeds=st_seeds)
+def test_operator_sends_generators_to_prolonged_seeds(parity, seeds):
+    even_seed, odd_seed = seeds[parity], seeds[1 - parity]
+    op = OperatorSpec(even_seed, odd_seed)
+    assert apply_op(op, lam_var()) == ZERO
+    assert apply_op(op, u_jet(0)) == even_seed
+    assert apply_op(op, theta(0)) == odd_seed
+    for s in range(1, 4):
+        assert apply_op(op, u_jet(s)) == op.even_gen(s) == dtot(op.even_gen(s - 1))
+        assert apply_op(op, theta(s)) == op.odd_gen(s) == dtot(op.odd_gen(s - 1))
 
 
 def test_operator_commutes_with_dtot():
