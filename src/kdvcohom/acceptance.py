@@ -180,10 +180,9 @@ def run_verify_suite(name: str, max_d: int = 6, window: Window = Window(3, 2),
                        time.perf_counter() - start)
 
 
-# -- shared page cache --------------------------------------------------------
+# -- pages of the truncated pencil pieces ---------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _pencil_page(k: int, c: int, r: int, p: int, n: int) -> Optional[PageEntry]:
     """Page entry of the truncated pencil piece, or None when degree n is absent."""
     fs = pencil_filtered_slice(k, c, d_cap=_D_CAP)

@@ -227,12 +227,16 @@ class DiffPoly:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, _F0) + c
         return DiffPoly(terms)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, _F0) - c

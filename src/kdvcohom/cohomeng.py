@@ -81,7 +81,8 @@ class PieceHomology:
 
     reps are (coordinate vector, monomial-or-None) pairs; relation_rows
     span everything the classes are taken modulo (coboundaries plus any
-    presentation relations), and cocycle_rows span the lifted kernel.
+    presentation relations).  cocycle_rank and boundary_rank are the
+    dimensions of the lifted kernel and of that relation span.
     """
     kind: str
     bidegree: Bidegree

@@ -16,12 +16,13 @@ pivot, and rows are combined fraction-free by cross-multiplication.
 Fractions appear only where Rows go in (scaled once by the lcm of their
 denominators; an entry that is not an int or a Fraction raises TypeError)
 and come out (divided by the pivot entry, or by the scale of a remainder).
-rref, rank_of, reduce_against, in_span, solve, nullspace,
-intersect_with_coordinates and quotient_representatives take and return
-Rows and are thin views of it; only solve hands back a dense coordinate
-vector.  sparse() and dense() convert at the edges, where published
-results hold dense tuples.  The reduced form of a span is unique, so every
-result is canonical; no floating point, no probabilistic shortcuts.
+rref, reduce_against, in_span, solve, nullspace, intersect_with_coordinates
+and quotient_representatives take and return Rows, rank_of and
+added_pivots take Rows, and all of them are thin views of it; only solve
+hands back a dense coordinate vector.  sparse() and dense() convert at
+the edges, where published results hold dense tuples.  The reduced form
+of a span is unique, so every result is canonical; no floating point, no
+probabilistic shortcuts.
 """
 
 from __future__ import annotations
@@ -325,16 +326,21 @@ class Echelon:
 
     def add(self, row: Row) -> bool:
         """Extend the span by row; False when row already lies in it."""
+        return self._insert(row) is not None
+
+    def _insert(self, row: Row) -> Optional[int]:
+        """Extend the span by row; the pivot it adds, or None when row
+        already lies in it."""
         v = self._reduced(row)[0]
         if not v:
-            return False
+            return None
         v = self._primitive(v)
         pc = min(v)
         for opc, other in self._rows.items():
             if pc in other:
                 self._rows[opc] = self._primitive(self._cleared(other, v, pc)[0])
         self._rows[pc] = v
-        return True
+        return pc
 
     def reduce(self, row: Row) -> Row:
         """row minus its component in the span; zero at every pivot."""
@@ -360,6 +366,13 @@ def rref(rows: Sequence[Row]):
     """
     ech = Echelon(rows)
     return ech.rows(), ech.pivots()
+
+
+def added_pivots(rows: Iterable[Row]) -> List[Optional[int]]:
+    """For each row in order, the pivot it adds to the span of the rows
+    before it, or None when it lies in that span."""
+    ech = Echelon()
+    return [ech._insert(row) for row in rows]
 
 
 def rank_of(rows: Sequence[Row]) -> int:

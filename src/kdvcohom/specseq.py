@@ -4,20 +4,31 @@ The engine is agnostic about where the complex comes from: it consumes a
 FilteredSlice (consecutive degrees, a monomial basis per degree, a
 filtration level per basis vector, the differential as exact matrices) and
 computes every page, page differential and the limit by honest linear
-algebra over the rationals.  Nothing is windowed or truncated here; a
-FilteredSlice is a complete finite complex.
+algebra over the rationals.  Nothing is windowed here.  A FilteredSlice
+is a complete finite complex, or one cut off above: then its top
+differential leaves the slice, and only that degree's pages are out of
+reach.
 
 Conventions: the filtration is decreasing, F^p is spanned by the basis
 vectors of level >= p, and the differential never lowers the level.  The
 page at (p, q) lives in total degree p + q, and its differential moves by
 (r, 1 - r).
+
+Every page dimension, the vanishing of every page differential and the
+limit page are read off one filtration-ordered pairing per slice, as
+persistent homology reads the spectral sequence of a filtered complex off
+a single reduction (Edelsbrunner, Letscher and Zomorodian 2002; Basu and
+Parida 2017).  The spans Z_r and B_{r-1} are built only where a
+representative or a relation is read, and a page whose representatives do
+not number its dimension raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import Monomial
 from .linwin import (
@@ -28,6 +39,7 @@ from .linwin import (
     Row,
     SliceBasis,
     Window,
+    added_pivots,
     dense,
     intersect_with_coordinates,
     nullspace,
@@ -48,7 +60,8 @@ class FilteredSlice:
     degrees must be consecutive.  diffs[n] maps degree n to n + 1; the top
     degree maps into an empty basis, which asserts that the complex really
     stops.  validate() checks the shapes, the filtration axiom and that the
-    differential squares to zero, and is run once per instance on first use.
+    differential squares to zero, and is run once per instance on first use;
+    so is the pairing behind every page dimension.
     """
 
     degrees: Tuple[int, ...]
@@ -59,6 +72,7 @@ class FilteredSlice:
 
     def __post_init__(self):
         self._validated = False
+        self._pairs: Optional[Dict[Tuple[int, int], List[Optional[int]]]] = None
 
     def validate(self) -> None:
         if self._validated:
@@ -93,6 +107,54 @@ class FilteredSlice:
                         raise CompositionError(
                             f"differential does not square to zero at degree {n}")
         self._validated = True
+
+    def _pairing(self) -> Dict[Tuple[int, int], List[Optional[int]]]:
+        """The persistence pairing of the slice, by (degree, level).
+
+        Each basis vector contributes the gap of its pair, the level
+        difference of the two vectors, or None when it is unpaired.  The
+        vectors of all degrees are numbered by level, lowest first, so the
+        pivot of an image (its first nonzero column) is its lowest-level
+        entry; the columns go into one Echelon in the reverse order, and a
+        column that adds a pivot is paired with it.  A paired vector never
+        adds a pivot itself: its column lies in the span of the columns
+        numbered after it.  The columns of a degree that leaves the slice
+        are skipped, so the pairing of that degree is incomplete.
+        """
+        if self._pairs is None:
+            self.validate()
+            order = sorted((lv, n, i) for n in self.degrees
+                           for i, lv in enumerate(self.levels[n]))
+            index = {(n, i): k for k, (_, n, i) in enumerate(order)}
+            cols = []
+            for _, n, i in reversed(order):
+                d = self.diffs.get(n)
+                cols.append(() if d is None or self.leaves_slice(n) else
+                            tuple(sorted((index[n + 1, j], x) for j, x in d.cols[i])))
+            partner = {}
+            for k, pc in zip(range(len(order) - 1, -1, -1), added_pivots(cols)):
+                if pc is not None:
+                    partner[k], partner[pc] = pc, k
+            self._pairs = {}
+            for k, (lv, n, _) in enumerate(order):
+                gap = abs(order[partner[k]][0] - lv) if k in partner else None
+                self._pairs.setdefault((n, lv), []).append(gap)
+        return self._pairs
+
+    def leaves_slice(self, n: int) -> bool:
+        """Whether the differential out of degree n maps outside the slice.
+
+        A truncated complex ends with such a degree; its top page spaces
+        are not computable, only the lower degrees are.
+        """
+        d = self.diffs.get(n)
+        return d is not None and len(d.codomain) > 0 and not self.bases.get(n + 1)
+
+    def require_inside(self, degrees: Iterable[int]) -> None:
+        """Raise ValueError at a degree whose differential leaves the slice."""
+        for n in degrees:
+            if self.leaves_slice(n):
+                raise ValueError(f"degree {n} is a truncation boundary of {self.label}")
 
     # -- raw access ------------------------------------------------------
 
@@ -132,12 +194,7 @@ def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
     d = fs.diffs.get(n)
     band = []   # the columns at idx, cut to the codomain levels [p, p+r)
     if d is not None and len(d.codomain):
-        if not fs.bases.get(n + 1):
-            # nonzero outgoing differential but the next degree is not part
-            # of the slice: a truncated complex ends here and its top page
-            # spaces are not computable, only the lower degrees are
-            raise ValueError(
-                f"degree {n} is a truncation boundary of {fs.label}")
+        fs.require_inside([n])
         lv_cod = fs.levels[n + 1]
         # rows strictly below level p vanish on F^p columns by the validated
         # filtration axiom, so only the band [p, p+r) constrains anything
@@ -168,11 +225,17 @@ def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
     return red
 
 
+def _relation_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
+    """Reduced basis of B_{r-1} + Z_{r-1} at p + 1, what E_r at p is taken modulo."""
+    return rref(b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n))[0]
+
+
 @dataclass(frozen=True)
 class PageEntry:
     """One spectral sequence entry with a deterministic transversal.
 
-    Entries are cached and shared, so every field is immutable.
+    Entries are shared, so every field is immutable.  relation_rows, the
+    span the representatives are taken modulo, is built on first read.
     """
 
     r: int
@@ -180,9 +243,15 @@ class PageEntry:
     q: int
     dim: int
     reps: Tuple[Tuple[Tuple[Fraction, ...], Optional[Monomial]], ...]
-    cocycle_rows: Tuple[Tuple[Fraction, ...], ...]
-    relation_rows: Tuple[Tuple[Fraction, ...], ...]
     basis: Optional[SliceBasis]
+    source: Optional[FilteredSlice] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def relation_rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        if not self.basis:
+            return ()
+        rows = _relation_rows(self.source, self.r, self.p, self.p + self.q)
+        return tuple(tuple(dense(v, len(self.basis))) for v in rows)
 
     def window_count(self, w: Window) -> int:
         return len(window_reps(self.basis, self.reps, w))
@@ -192,21 +261,30 @@ class PageEntry:
 
 
 def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
-    """The page entry E_r at (p, q) with canonical representatives."""
+    """The page entry E_r at (p, q) with canonical representatives.
+
+    The dimension is read off the pairing; the representatives are chosen
+    from the spans, which must yield exactly that many.
+    """
     fs.validate()
     n = p + q
     basis = fs.bases.get(n)
     if basis is None or not basis.monomials:
-        return PageEntry(r, p, q, 0, (), (), (), basis)
-    z = z_rows(fs, r, p, n)
-    rel = b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n)
-    red_rel, _ = rref(rel)
-    reps = quotient_representatives(basis, z, red_rel)
-    dim = len(basis)
-    return PageEntry(r, p, q, len(reps),
-                     tuple((tuple(dense(v, dim)), m) for v, m in reps),
-                     tuple(tuple(dense(v, dim)) for v in z),
-                     tuple(tuple(dense(v, dim)) for v in red_rel), basis)
+        return PageEntry(r, p, q, 0, (), basis)
+    if fs.level_indices(n, p):
+        fs.require_inside([n])
+    dim = sum(g is None or g >= r for g in fs._pairing().get((n, p), ()))
+    if not dim:
+        return PageEntry(r, p, q, 0, (), basis, fs)
+    reps = quotient_representatives(basis, z_rows(fs, r, p, n),
+                                    _relation_rows(fs, r, p, n))
+    if len(reps) != dim:
+        raise CompositionError(
+            f"{len(reps)} representatives for a page of dimension {dim} "
+            f"at r={r} (p,q)=({p},{q}) of {fs.label}")
+    size = len(basis)
+    return PageEntry(r, p, q, dim,
+                     tuple((tuple(dense(v, size)), m) for v, m in reps), basis, fs)
 
 
 def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
@@ -219,6 +297,8 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     fs.validate()
     src = page(fs, r, p, q)
     dst = page(fs, r, p + r, q - r + 1)
+    if not src.dim:
+        return src, dst, []
     n = p + q
     cols = []
     d = fs.diffs.get(n)
@@ -237,28 +317,20 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     return src, dst, cols
 
 
+def _gaps(fs: FilteredSlice) -> List[int]:
+    """The gap of every pair of a slice that stays inside itself."""
+    fs.require_inside(fs.degrees)
+    return [g for gs in fs._pairing().values() for g in gs if g is not None]
+
+
 def dr_is_zero(fs: FilteredSlice, r: int) -> bool:
-    """Whether the page-r differential vanishes everywhere."""
-    fs.validate()
-    lo, hi = fs.min_level(), fs.max_level()
-    for n in fs.degrees:
-        for p in range(lo, hi + 1):
-            _, _, cols = page_dr_matrix(fs, r, p, n - p)
-            for col in cols:
-                if any(col):
-                    return False
-    return True
+    """Whether the page-r differential vanishes everywhere: no pair has gap r."""
+    return r not in _gaps(fs)
 
 
 def collapse_at(fs: FilteredSlice) -> int:
     """Smallest r such that every page differential from r on vanishes."""
-    fs.validate()
-    bound = fs.span_bound()
-    flags = [dr_is_zero(fs, r) for r in range(bound + 1)]
-    for r in range(bound + 1):
-        if all(flags[r:]):
-            return r
-    return bound + 1
+    return 1 + max(_gaps(fs), default=-1)
 
 
 def limit_page(fs: FilteredSlice, p: int, q: int) -> PageEntry:
@@ -285,11 +357,12 @@ def converge_check(fs: FilteredSlice) -> Dict[int, Tuple[int, int, bool]]:
     dimensions must equal the exact homology dimension; the filtration of a
     finite complex always converges, so a mismatch means an engine bug.
     """
-    fs.validate()
+    fs.require_inside(fs.degrees)
+    pairing = fs._pairing()
     out = {}
-    lo, hi = fs.min_level(), fs.max_level()
     for n in fs.degrees:
-        total = sum(limit_page(fs, p, n - p).dim for p in range(lo, hi + 1))
+        # the limit page is spanned by the unpaired vectors
+        total = sum(g is None for (m, _), gs in pairing.items() if m == n for g in gs)
         _, _, h = homology_at(fs, n)
         out[n] = (total, h, total == h)
     return out

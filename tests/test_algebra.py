@@ -281,6 +281,18 @@ def test_inexact_scalars_do_not_multiply(bad):
         bad * poly("u")
 
 
+@pytest.mark.parametrize("other", [1, 0.5, Fraction(1, 2), "u"])
+def test_non_polynomials_do_not_add_or_subtract(other):
+    with pytest.raises(TypeError):
+        poly("u") + other
+    with pytest.raises(TypeError):
+        other + poly("u")
+    with pytest.raises(TypeError):
+        poly("u") - other
+    with pytest.raises(TypeError):
+        other - poly("u")
+
+
 def test_mul_matches_spec_alias():
     a, b = poly("u t0"), poly("u1 t1")
     assert mul(a, b) == a * b

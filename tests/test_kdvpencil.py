@@ -212,6 +212,16 @@ def test_pencil_filtered_slice_shapes():
     assert pencil_filtered_slice(-2, 3).degrees == ()
 
 
+def test_pencil_slice_degrees_share_one_basis():
+    # every piece basis is enumerated once: the codomain of a differential
+    # is the very basis object of the next degree
+    for k in range(-1, 5):
+        for c in range(8):
+            fs = pencil_filtered_slice(k, c, d_cap=7)
+            for n in fs.degrees[:-1]:
+                assert fs.diffs[n].codomain is fs.bases[n + 1], (k, c, n)
+
+
 def test_pencil_filtered_slice_levels():
     fs = pencil_filtered_slice(0, 1)
     b = fs.bases[3]

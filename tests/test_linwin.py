@@ -25,6 +25,7 @@ from kdvcohom.linwin import (
     SliceBasis,
     Window,
     WindowOverflowError,
+    added_pivots,
     dense,
     enumerate_basis,
     enumerate_piece_basis,
@@ -183,6 +184,13 @@ def test_rref_spans_the_same_rowspace(rows):
     for r in rows:
         assert in_span(red, piv, sparse(r))
     assert rank_of(rows_of(rows) + red) == len(red)
+
+
+def test_added_pivots_reports_each_new_pivot():
+    rows = [sparse([0, 1, 1]), sparse([0, 2, 2]), sparse([1, 0, 0]), sparse([1, 1, 0])]
+    # pivot 0 is reported as 0, not mistaken for a row already in the span
+    assert added_pivots(rows) == [1, None, 0, 2]
+    assert added_pivots([]) == []
 
 
 def test_intersect_with_coordinates():

@@ -13,11 +13,14 @@ from kdvcohom.linwin import (
     SliceBasis,
     Window,
     operator_matrix,
+    quotient_representatives,
+    rref,
     solve,
     sparse,
 )
 from kdvcohom.specseq import (
     FilteredSlice,
+    b_rows,
     collapse_at,
     converge_check,
     dr_is_zero,
@@ -25,6 +28,7 @@ from kdvcohom.specseq import (
     limit_page,
     page,
     page_dr_matrix,
+    z_rows,
 )
 
 
@@ -132,7 +136,8 @@ def test_pencil_piece_k1_d1_matches_explicit_formula():
     src_poly = src.rep_polys()[0]
     img = d1_explicit(src_poly, 2)
     target = sparse(fs.bases[4].vector_of(img))
-    coords = solve([sparse(g) for g in dst.cocycle_rows], target)
+    # the image is a cocycle of the target page: it lies in Z_1 there
+    coords = solve(z_rows(fs, dst.r, dst.p, dst.p + dst.q), target)
     assert coords is not None
     # express over [reps | relations]: generator list is reps first
     full_gens = [r for r, _ in dst.reps] + list(dst.relation_rows)
@@ -168,3 +173,75 @@ def test_pages_keep_the_euler_characteristic(k, c):
         got = sum((-1) ** n * page(fs, r, p, n - p).dim
                   for n in fs.degrees for p in levels)
         assert got == chi, r
+
+
+# -- the pairing against the span-based pages ----------------------------------
+
+
+def _span_dim(fs, r, p, n):
+    """dim E_r at (p, n - p) from the spans: Z_r modulo B_{r-1} + Z_{r-1}(p+1)."""
+    basis = fs.bases.get(n)
+    if not basis:
+        return 0
+    rel, _ = rref(b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n))
+    return len(quotient_representatives(basis, z_rows(fs, r, p, n), rel))
+
+
+def _scan_dr_is_zero(fs, r):
+    """d_r vanishes, read off every page-r differential matrix."""
+    lo, hi = fs.min_level(), fs.max_level()
+    return not any(any(col) for n in fs.degrees for p in range(lo, hi + 1)
+                   for col in page_dr_matrix(fs, r, p, n - p)[2])
+
+
+def _scan_collapse_at(fs):
+    bound = fs.span_bound()
+    flags = [_scan_dr_is_zero(fs, r) for r in range(bound + 1)]
+    return next((r for r in range(bound + 1) if all(flags[r:])), bound + 1)
+
+
+UNTRUNCATED = [(k, c) for k in range(-1, 4) for c in range(6)]
+
+
+@pytest.mark.parametrize("k,c", UNTRUNCATED)
+def test_pairing_dims_match_the_spans_on_every_page(k, c):
+    fs = pencil_filtered_slice(k, c)
+    for r in range(fs.span_bound() + 2):
+        for n in fs.degrees:
+            for p in range(fs.min_level(), fs.max_level() + 1):
+                assert page(fs, r, p, n - p).dim == _span_dim(fs, r, p, n), (r, p, n)
+
+
+@pytest.mark.parametrize("k", range(-1, 5))
+def test_pairing_dims_match_the_spans_below_a_truncation(k):
+    for c in range(7):
+        fs = pencil_filtered_slice(k, c, d_cap=7)
+        for n in fs.degrees:
+            if fs.leaves_slice(n):
+                continue
+            for r in (1, 2, 3):
+                for p in range(fs.min_level(), fs.max_level() + 1):
+                    assert page(fs, r, p, n - p).dim == _span_dim(fs, r, p, n), \
+                        (c, r, p, n)
+
+
+@pytest.mark.parametrize("k,c", UNTRUNCATED[::2])
+def test_collapse_matches_the_differential_scan(k, c):
+    fs = pencil_filtered_slice(k, c)
+    for r in range(fs.span_bound() + 1):
+        assert dr_is_zero(fs, r) == _scan_dr_is_zero(fs, r), r
+    assert collapse_at(fs) == _scan_collapse_at(fs)
+
+
+def test_truncation_boundary_pages_raise():
+    fs = pencil_filtered_slice(2, 3, d_cap=5)
+    top = fs.degrees[-1]
+    assert fs.leaves_slice(top)
+    with pytest.raises(ValueError, match="truncation boundary"):
+        page(fs, 1, fs.max_level(), top - fs.max_level())
+    for whole_slice in (collapse_at, converge_check, lambda fs: dr_is_zero(fs, 1)):
+        with pytest.raises(ValueError, match="truncation boundary"):
+            whole_slice(fs)
+    # one degree down every page is still available
+    p = fs.max_level()
+    assert page(fs, 1, p, top - 1 - p).dim == _span_dim(fs, 1, p, top - 1)
