@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bidegree, DiffPoly, dtot, lam_var, mono, poly
 from .cohomeng import (
@@ -191,16 +191,27 @@ def _pencil_page(k: int, c: int, r: int, p: int, n: int) -> Optional[PageEntry]:
     return page(fs, r, p, n - p)
 
 
+def windowed_page_counts(r: int, p: int, q: int,
+                         windows: Sequence[Window]) -> List[int]:
+    """Window counts of one page position, one per window, each summed over
+    all pieces meeting it; every piece's entry is built once for all windows."""
+    n = p + q
+    tops = [w.N + w.L + n for w in windows]
+    got = [0] * len(windows)
+    for k in range(max(-1, n - p_bound(n)), n + 1):
+        for c in range(max(tops) + 1):
+            pg = _pencil_page(k, c, r, p, n)
+            if pg is None:
+                continue
+            for i, w in enumerate(windows):
+                if c <= tops[i]:
+                    got[i] += pg.window_count(w)
+    return got
+
+
 def windowed_page_count(r: int, p: int, q: int, w: Window) -> int:
     """Window count of one page position summed over all pieces meeting it."""
-    n = p + q
-    got = 0
-    for k in range(max(-1, n - p_bound(n)), n + 1):
-        for c in range(w.N + w.L + n + 1):
-            pg = _pencil_page(k, c, r, p, n)
-            if pg is not None:
-                got += pg.window_count(w)
-    return got
+    return windowed_page_counts(r, p, q, (w,))[0]
 
 
 def _page_coords(entry: PageEntry, a: DiffPoly) -> Optional[List[Fraction]]:
@@ -246,16 +257,24 @@ def check_first_structure_cohomology() -> Tuple[bool, str]:
     return not bad, detail
 
 
+def _ladder_page_counts(r: int) -> Dict[Tuple[int, int], List[int]]:
+    """Page-r counts at every position of total degree <= _MAX_TOTAL, one
+    per window of the default ladder."""
+    return {(p, n - p): windowed_page_counts(r, p, n - p, DEFAULT_LADDER)
+            for n in range(_MAX_TOTAL + 1) for p in range(n + 1)}
+
+
 def check_page_one_dimensions() -> Tuple[bool, str]:
     """The engine's first page matches the cofactor model on every ladder window."""
     bad = []
     positions = 0
-    for w in DEFAULT_LADDER:
+    counts = _ladder_page_counts(1)
+    for i, w in enumerate(DEFAULT_LADDER):
         for n in range(_MAX_TOTAL + 1):
             for p in range(n + 1):
                 q = n - p
                 want = len(e1_basis(p, q, w))
-                got = windowed_page_count(1, p, q, w)
+                got = counts[p, q][i]
                 positions += 1
                 if got != want:
                     bad.append(((w.N, w.L), p, q, got, want))
@@ -329,7 +348,8 @@ def check_contracting_homotopy() -> Tuple[bool, str]:
 def check_page_two_collapse() -> Tuple[bool, str]:
     """Page two carries only the two surviving families and equals the limit."""
     bad = []
-    for w in DEFAULT_LADDER:
+    counts = _ladder_page_counts(2)
+    for i, w in enumerate(DEFAULT_LADDER):
         for n in range(_MAX_TOTAL + 1):
             for p in range(n + 1):
                 q = n - p
@@ -339,7 +359,7 @@ def check_page_two_collapse() -> Tuple[bool, str]:
                     want = w.N + 1
                 else:
                     want = 0
-                got = windowed_page_count(2, p, q, w)
+                got = counts[p, q][i]
                 if got != want:
                     bad.append(("window", (w.N, w.L), p, q, got, want))
     pieces = 0

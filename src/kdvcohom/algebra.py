@@ -31,6 +31,7 @@ produced.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -368,6 +369,19 @@ def partial(a: DiffPoly, var: str) -> DiffPoly:
     return DiffPoly(terms)
 
 
+def _lcm_denominator(coeffs: Iterable[Fraction]) -> int:
+    """The least common denominator of some Fractions (1 for none)."""
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    return den
+
+
+def _numerators(terms: dict, den: int) -> list:
+    """The (monomial, integer numerator) pairs of terms over denominator den."""
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+
+
 def derivation(a: DiffPoly, even_image: Callable[[int], DiffPoly],
                odd_image: Callable[[int], DiffPoly]) -> DiffPoly:
     """The derivation sending u^s to even_image(s) and t^s to odd_image(s).
@@ -375,20 +389,34 @@ def derivation(a: DiffPoly, even_image: Callable[[int], DiffPoly],
     The parameter l is constant.  On a monomial it is the sum over its
     variables of the image times the partial derivative, the image
     multiplied on the left, so an odd image gives an odd derivation.
+
+    Each image is looked up once per call.  The coefficients of a are
+    scaled once to integers over their lcm denominator, those of the images
+    over the lcm of theirs; the term map accumulates integer numerators and
+    one Fraction is built per output term.
     """
-    terms = {}
-    for m, c in a.terms.items():
-        for (kind, s), factor, rest in monomial_partials(m):
+    den_a = _lcm_denominator(a.terms.values())
+    images = {}
+    steps = []
+    for m, n in _numerators(a.terms, den_a):
+        for var, factor, rest in monomial_partials(m):
+            kind, s = var
             if kind == "lam":
                 continue
-            cf = c * factor
-            image = even_image(s) if kind == "u" else odd_image(s)
-            for mi, ci in image.terms.items():
-                res = mul_monomials(mi, rest)
-                if res is not None:
-                    mm, sign = res
-                    terms[mm] = terms.get(mm, _F0) + sign * cf * ci
-    return DiffPoly(terms)
+            if var not in images:
+                images[var] = (even_image if kind == "u" else odd_image)(s).terms
+            steps.append((var, n * factor, rest))
+    den_i = _lcm_denominator(c for image in images.values() for c in image.values())
+    scaled = {var: _numerators(image, den_i) for var, image in images.items()}
+    terms: dict = {}
+    for var, n, rest in steps:
+        for mi, ni in scaled[var]:
+            res = mul_monomials(mi, rest)
+            if res is not None:
+                mm, sign = res
+                terms[mm] = terms.get(mm, 0) + sign * n * ni
+    den = den_a * den_i
+    return DiffPoly({mm: Fraction(n, den) for mm, n in terms.items() if n})
 
 
 def dtot(a: DiffPoly) -> DiffPoly:

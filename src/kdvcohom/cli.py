@@ -22,7 +22,7 @@ from .acceptance import (
     format_results,
     run_acceptance,
     run_verify_suite,
-    windowed_page_count,
+    windowed_page_counts,
 )
 from .algebra import Bidegree, format_poly
 from .cohomeng import KINDS, dims_table, p_bound, piece_count_range, piece_homology
@@ -157,8 +157,8 @@ def _cmd_pages(args, parser) -> Tuple[dict, bool, str]:
     for n in range(args.max_total + 1):
         for p in range(n + 1):
             q = n - p
-            counts = {f"{w.N}:{w.L}": windowed_page_count(args.page, p, q, w)
-                      for w in args.windows}
+            counts = dict(zip(headers,
+                              windowed_page_counts(args.page, p, q, args.windows)))
             entries.append({"p": p, "q": q, "counts": counts})
             if any(counts.values()):
                 row = " ".join(str(counts[h]).rjust(len(h)) for h in headers)

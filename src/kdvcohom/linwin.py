@@ -90,9 +90,11 @@ class SliceBasis:
         try:
             return self._index[m]
         except KeyError:
+            p, d = self.bidegree
+            tag = self.label or (f"window {self.window}" if self.window else "")
+            where = f"(p={p}, d={d}) {tag}".strip()
             raise WindowOverflowError(
-                f"monomial {m.format() or '1'} not in slice {self.describe()}"
-            ) from None
+                f"monomial {m.format() or '1'} not in slice {where}") from None
 
     def contains(self, m: Monomial) -> bool:
         return m in self._index
@@ -105,11 +107,6 @@ class SliceBasis:
 
     def poly_of(self, vec: Sequence[Fraction]) -> DiffPoly:
         return DiffPoly({m: c for m, c in zip(self.monomials, vec) if c})
-
-    def describe(self) -> str:
-        p, d = self.bidegree
-        tag = self.label or (f"window {self.window}" if self.window else "")
-        return f"(p={p}, d={d}) {tag}".strip()
 
 
 def window_reps(basis: SliceBasis, reps, w: Window

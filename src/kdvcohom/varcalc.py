@@ -16,16 +16,12 @@ from .algebra import Bidegree, DiffPoly, ZERO, derivation, dtot, monomial_partia
 from .linwin import F0, enumerate_piece_basis, operator_matrix, solve, sparse
 
 
-def _signed_power(a: DiffPoly, s: int) -> DiffPoly:
-    """(-1)^s dtot^s applied to a."""
-    out = a
-    for _ in range(s):
-        out = dtot(out)
-    return out if s % 2 == 0 else -out
-
-
 def _euler(a: DiffPoly, kind: str) -> DiffPoly:
-    """Sum over s of (-dtot)^s d a / d kind^s, the partials grouped by order."""
+    """Sum over s of (-dtot)^s d a / d kind^s, by Horner's rule in dtot.
+
+    The partials are grouped by order s; from the top order down,
+    out = part_s - dtot(out), so each order costs one total derivative.
+    """
     by_order: Dict[int, dict] = {}
     for m, c in a.terms.items():
         for (k, s), factor, rest in monomial_partials(m):
@@ -33,8 +29,9 @@ def _euler(a: DiffPoly, kind: str) -> DiffPoly:
                 part = by_order.setdefault(s, {})
                 part[rest] = part.get(rest, F0) + c * factor
     out = ZERO
-    for s in sorted(by_order):
-        out = out + _signed_power(DiffPoly(by_order[s]), s)
+    for s in range(max(by_order, default=-1), -1, -1):
+        part = DiffPoly(by_order.get(s))
+        out = part - dtot(out) if out else part
     return out
 
 
@@ -98,12 +95,10 @@ def build_dp(density: DiffPoly) -> OperatorSpec:
 
 def _components(a: DiffPoly) -> Dict[Tuple[int, int, int], DiffPoly]:
     """Split into pieces of fixed (super degree, standard degree, count)."""
-    out: Dict[Tuple[int, int, int], DiffPoly] = {}
+    groups: Dict[Tuple[int, int, int], dict] = {}
     for m, c in a.terms.items():
-        key = (m.super_degree(), m.degree(), m.ucount())
-        out.setdefault(key, DiffPoly())
-        out[key] = out[key] + DiffPoly.monomial(m, c)
-    return out
+        groups.setdefault((m.super_degree(), m.degree(), m.ucount()), {})[m] = c
+    return {key: DiffPoly(terms) for key, terms in groups.items()}
 
 
 _DTOT_PIECE: Dict[Tuple[int, int, int], object] = {}

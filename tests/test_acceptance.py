@@ -5,9 +5,11 @@ read its results so each criterion gets its own pass/fail line.
 """
 
 import dataclasses
+import json
 
 import pytest
 
+from kdvcohom import acceptance
 from kdvcohom.acceptance import (
     ALL_CHECKS,
     VERIFY_SUITES,
@@ -16,8 +18,10 @@ from kdvcohom.acceptance import (
     run_acceptance,
     run_verify_suite,
     windowed_page_count,
+    windowed_page_counts,
 )
 from kdvcohom.algebra import poly
+from kdvcohom.cli import main
 from kdvcohom.linwin import Window
 from kdvcohom.varcalc import OperatorSpec
 
@@ -74,3 +78,31 @@ def test_cached_page_entries_cannot_be_mutated():
     with pytest.raises(dataclasses.FrozenInstanceError):
         entry.dim = 0
     assert windowed_page_count(2, 1, 2, Window(2, 1)) == 3
+
+
+def test_two_window_ladder_builds_each_nonzero_page_once(monkeypatch, capsys):
+    builds = []
+    page = acceptance.page
+
+    def counting_page(fs, r, p, q):
+        entry = page(fs, r, p, q)
+        if entry.dim:
+            builds.append((fs.label, r, p, q))
+        return entry
+
+    monkeypatch.setattr(acceptance, "page", counting_page)
+    ladder = (Window(2, 1), Window(3, 2))
+    positions = [(p, n - p) for n in range(4) for p in range(n + 1)]
+    assert main(["--format", "json", "pages", "--max-total", "3",
+                 "--windows", "2:1,3:2"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    once = list(builds)
+    assert once and len(once) == len(set(once))
+
+    # one window at a time builds the entries shared by both windows twice
+    builds.clear()
+    per_window = [[windowed_page_count(1, p, q, w) for w in ladder]
+                  for p, q in positions]
+    assert len(builds) > len(once) and set(builds) == set(once)
+    assert [list(e["counts"].values()) for e in entries] == per_window
+    assert [windowed_page_counts(1, p, q, ladder) for p, q in positions] == per_window

@@ -19,10 +19,12 @@ from kdvcohom.algebra import (
     ONE,
     ZERO,
     bidegree,
+    derivation,
     dtot,
     format_poly,
     lam_var,
     mono,
+    monomial_partials,
     mul,
     parse_poly,
     partial,
@@ -31,6 +33,7 @@ from kdvcohom.algebra import (
     theta,
     u_jet,
 )
+from kdvcohom.varcalc import OperatorSpec
 
 
 # -- monomial bookkeeping --------------------------------------------------
@@ -211,6 +214,32 @@ def test_dtot_grading(m):
     if not da.is_zero():
         assert bidegree(da) == Bidegree(m.super_degree(), m.degree() + 1)
         assert all(mm.ucount() == m.ucount() for mm in da.monomials())
+
+
+def derivation_reference(a, even_image, odd_image):
+    """The derivation term by term in Fraction arithmetic: each variable's
+    image times the rest of its monomial, by the polynomial product."""
+    out = ZERO
+    for m, c in a.terms.items():
+        for (kind, s), factor, rest in monomial_partials(m):
+            if kind != "lam":
+                image = even_image(s) if kind == "u" else odd_image(s)
+                out = out + (c * factor) * (image * DiffPoly.monomial(rest))
+    return out
+
+
+# an odd field whose seeds carry the denominators 2, 3 and 7
+FIELD_237 = OperatorSpec(poly("1/2 u t1 + 2/3 u1 t0"), poly("3/7 t0 t1 + -1/3 u t0 t2"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_poly)
+def test_derivation_matches_fraction_reference(a):
+    for even_image, odd_image in ((FIELD_237.even_gen, FIELD_237.odd_gen),
+                                  (lambda s: u_jet(s + 1), lambda s: theta(s + 1))):
+        got = derivation(a, even_image, odd_image)
+        assert got == derivation_reference(a, even_image, odd_image)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 # -- substitution -------------------------------------------------------------

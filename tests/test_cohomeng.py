@@ -1,6 +1,8 @@
 """Exact piece cohomology, windowed reporting, comparison and the LES."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvcohom.algebra import Bidegree, mono, poly
 from kdvcohom.cohomeng import (
@@ -126,6 +128,38 @@ def test_stabilized_kinds():
     assert stabilized("dlambda_A", 2, 1).matches("constant", 0)
     assert stabilized("bh_F", 1, 1).matches("linear-N", 1)
     assert stabilized("bh_A", 0, 0).matches("constant", 1)
+
+
+# strictly increasing ladders longer than the default one: each step raises
+# N, L or both, and at least two step kinds occur, so the windows do not lie
+# on one line and N- and L-growth can be told apart
+st_long_ladder = st.tuples(
+    st.integers(0, 2), st.integers(0, 2),
+    st.lists(st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+             min_size=len(DEFAULT_LADDER), max_size=len(DEFAULT_LADDER) + 3
+             ).filter(lambda steps: len(set(steps)) > 1),
+).map(lambda t: _ladder(*t))
+
+
+def _ladder(n, l, steps):
+    out = [Window(n, l)]
+    for dn, dl in steps:
+        n, l = n + dn, l + dl
+        out.append(Window(n, l))
+    return tuple(out)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st_long_ladder)
+def test_stabilized_closed_forms_on_longer_ladders(ladder):
+    assert len(ladder) > len(DEFAULT_LADDER)
+    for kind, p, d, model, slope in (("dlambda_A", 0, 0, "linear-L", 1),
+                                     ("dlambda_A", 3, 3, "linear-N", 1),
+                                     ("bh_F", 1, 1, "linear-N", 1),
+                                     ("bh_A", 0, 0, "constant", 1)):
+        rep = stabilized(kind, p, d, ladder)
+        assert rep.matches(model, slope), (kind, p, d, rep)
+        assert rep.intercept == 1 and rep.points_used == len(ladder)
 
 
 def test_class_coords():

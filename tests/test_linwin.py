@@ -314,8 +314,20 @@ def test_operator_matrix_shape_and_rank():
 def test_operator_matrix_overflow():
     w = Window(2, 2)
     dom = enumerate_basis(Bidegree(0, 0), w)
-    with pytest.raises(WindowOverflowError):
+    with pytest.raises(WindowOverflowError) as err:
         operator_matrix(lambda a: u_jet(0) * a, dom, dom)
+    assert str(err.value) == \
+        "monomial u^3 not in slice (p=0, d=0) window Window(N=2, L=2)"
+
+
+def test_index_of_names_the_slice():
+    piece = enumerate_piece_basis(Bidegree(1, 1), 2)
+    with pytest.raises(WindowOverflowError) as err:
+        piece.index_of(Monomial(lam=5))
+    assert str(err.value) == "monomial l^5 not in slice (p=1, d=1) c=2"
+    with pytest.raises(WindowOverflowError) as err:
+        SliceBasis(Bidegree(0, 0), None, ()).index_of(Monomial())
+    assert str(err.value) == "monomial 1 not in slice (p=0, d=0)"
 
 
 def test_apply_to_vector_matches_operator():

@@ -6,10 +6,20 @@ for the pencil densities, and the bracket symmetry example.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kdvcohom.algebra import DiffPoly, ZERO, dtot, lam_var, mono, poly, theta, u_jet
+from kdvcohom.algebra import (
+    DiffPoly,
+    ZERO,
+    dtot,
+    lam_var,
+    mono,
+    partial,
+    poly,
+    theta,
+    u_jet,
+)
 from kdvcohom.varcalc import (
     FunctionalClass,
     OperatorSpec,
@@ -44,6 +54,18 @@ def test_delta_theta_frozen():
 def test_delta_theta_second_order():
     # d/dt2 contributes with dtot applied twice and a plus sign
     assert delta_theta(poly("u t2")) == poly("u2")
+
+
+def euler_power_sum(a, kind):
+    """Sum over s of (-1)^s dtot^s applied to d a / d kind^s, one power of
+    dtot at a time: the definition, kept as an oracle for Horner's rule."""
+    out = ZERO
+    for s in range(a.max_jet() + 1):
+        term = partial(a, f"t{s}" if kind == "t" else ("u" if s == 0 else f"u{s}"))
+        for _ in range(s):
+            term = dtot(term)
+        out = out + (term if s % 2 == 0 else -term)
+    return out
 
 
 @settings(max_examples=50)
@@ -81,18 +103,28 @@ def test_operator_is_a_derivation_on_products():
     assert apply_op(op, a * b) == apply_op(op, a) * b + a * apply_op(op, b)
 
 
-def st_homogeneous(parity):
-    """Nonzero polynomials whose terms have a number of odd factors of the
-    given parity (up to three)."""
+def st_homogeneous(parity, top=3, size=2):
+    """Nonzero polynomials of up to size terms whose terms have a number of
+    odd factors of the given parity (up to three) and jets of order <= top."""
     odd = st.sampled_from([parity, parity + 2]).flatmap(
-        lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n, unique=True))
+        lambda n: st.lists(st.integers(0, top), min_size=n, max_size=n, unique=True))
     term = st.tuples(
         st.builds(lambda lam, u0, ev, od: mono(lam=lam, u0=u0, even=ev.items(), odd=od),
                   st.integers(0, 1), st.integers(0, 2),
-                  st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2),
+                  st.dictionaries(st.integers(1, top), st.integers(1, 2), max_size=2),
                   odd),
         st.fractions(max_denominator=6).filter(bool))
-    return st.lists(term, min_size=1, max_size=2).map(lambda ts: DiffPoly(dict(ts)))
+    return st.lists(term, min_size=1, max_size=size).map(lambda ts: DiffPoly(dict(ts)))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_euler_operators_match_the_power_sum(parity, data):
+    a = data.draw(st_homogeneous(parity, top=5, size=4))
+    assume(a.max_jet() >= 4)
+    assert delta_u(a) == euler_power_sum(a, "u")
+    assert delta_theta(a) == euler_power_sum(a, "t")
 
 
 # a field of parity e takes the seed of parity e for u and the other for t
