@@ -21,7 +21,10 @@ exponent (or, for an odd variable, the left-derivative sign) and the
 monomial with one copy of the variable removed.  partial filters it to one
 variable, and derivation() places the image of each variable on the left
 of the rest, which is how dtot, the evolutionary fields of varcalc and the
-page-zero differential of kdvpencil are built.
+page-zero differential of kdvpencil are built.  The images reach it
+already scaled to integers, once per operator, so its term map runs on
+ints; _integers is the one scaling from exact numbers to integers, here
+and in linwin.
 
 Everything here is exact; coefficients are fractions.Fraction (an int is
 converted, anything else raises TypeError) and no floating point is ever
@@ -32,7 +35,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from operator import index
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -369,48 +373,79 @@ def partial(a: DiffPoly, var: str) -> DiffPoly:
     return DiffPoly(terms)
 
 
-def _lcm_denominator(coeffs: Iterable[Fraction]) -> int:
-    """The least common denominator of some Fractions (1 for none)."""
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return den
+def _integers(pairs: Iterable[Tuple[object, Scalar]]) -> Tuple[dict, int]:
+    """(key, exact number) pairs as a key -> int dict v and a positive int
+    den with v[key] / den the number; den is the lcm of the denominators.
+    pairs is a Row or the items of a dict: it is read twice on an error.
+
+    This is the one place where exact numbers are scaled to integers: the
+    terms of a polynomial here, the entries of a Row in linwin.  An entry
+    without an integer numerator and denominator (a float, say) raises
+    TypeError naming its key.
+    """
+    try:
+        den = lcm(*[x.denominator for _, x in pairs])
+        return {j: index(x.numerator) * (den // x.denominator) for j, x in pairs}, den
+    except (AttributeError, TypeError):
+        for j, x in pairs:
+            try:
+                index(x.numerator), index(x.denominator)
+            except (AttributeError, TypeError):
+                raise TypeError(f"entry {x!r} in column {j} is not an int "
+                                f"or a Fraction") from None
+        raise
 
 
-def _numerators(terms: dict, den: int) -> list:
-    """The (monomial, integer numerator) pairs of terms over denominator den."""
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+# The image of one variable under a derivation, scaled to integers: a tuple
+# of (monomial, integer numerator) pairs and their positive denominator.
+IntegerImage = Tuple[Tuple[Tuple[Monomial, int], ...], int]
 
 
-def derivation(a: DiffPoly, even_image: Callable[[int], DiffPoly],
-               odd_image: Callable[[int], DiffPoly]) -> DiffPoly:
+def integer_image(a: DiffPoly) -> IntegerImage:
+    """a scaled once to integers over the lcm of its denominators."""
+    v, den = _integers(a.terms.items())
+    return tuple(v.items()), den
+
+
+def image_poly(image: IntegerImage) -> DiffPoly:
+    """The polynomial of an integer image, built fresh."""
+    pairs, den = image
+    return DiffPoly({m: Fraction(n, den) for m, n in pairs})
+
+
+def derivation(a: DiffPoly, even_image: Callable[[int], IntegerImage],
+               odd_image: Callable[[int], IntegerImage]) -> DiffPoly:
     """The derivation sending u^s to even_image(s) and t^s to odd_image(s).
 
     The parameter l is constant.  On a monomial it is the sum over its
     variables of the image times the partial derivative, the image
     multiplied on the left, so an odd image gives an odd derivation.
 
-    Each image is looked up once per call.  The coefficients of a are
-    scaled once to integers over their lcm denominator, those of the images
-    over the lcm of theirs; the term map accumulates integer numerators and
-    one Fraction is built per output term.
+    The images come already scaled to integers (see integer_image), so a
+    caller that applies one operator many times scales each image once;
+    each is looked up once per call.  The coefficients of a are scaled to
+    integers over their lcm denominator, the term map accumulates integer
+    numerators over that times the lcm of the images' denominators, and
+    one Fraction is built per nonzero output term.
     """
-    den_a = _lcm_denominator(a.terms.values())
+    v, den_a = _integers(a.terms.items())
     images = {}
     steps = []
-    for m, n in _numerators(a.terms, den_a):
+    for m, n in v.items():
         for var, factor, rest in monomial_partials(m):
             kind, s = var
             if kind == "lam":
                 continue
             if var not in images:
-                images[var] = (even_image if kind == "u" else odd_image)(s).terms
+                images[var] = (even_image if kind == "u" else odd_image)(s)
             steps.append((var, n * factor, rest))
-    den_i = _lcm_denominator(c for image in images.values() for c in image.values())
-    scaled = {var: _numerators(image, den_i) for var, image in images.items()}
+    den_i = lcm(*[den for _, den in images.values()])
     terms: dict = {}
     for var, n, rest in steps:
-        for mi, ni in scaled[var]:
+        pairs, den = images[var]
+        if den != den_i:
+            n *= den_i // den
+        for mi, ni in pairs:
             res = mul_monomials(mi, rest)
             if res is not None:
                 mm, sign = res
@@ -419,13 +454,22 @@ def derivation(a: DiffPoly, even_image: Callable[[int], DiffPoly],
     return DiffPoly({mm: Fraction(n, den) for mm, n in terms.items() if n})
 
 
+def _next_jet(s: int) -> IntegerImage:
+    return ((Monomial(even=((s + 1, 1),)), 1),), 1
+
+
+def _next_theta(s: int) -> IntegerImage:
+    return ((Monomial(odd=(s + 1,)), 1),), 1
+
+
 def dtot(a: DiffPoly) -> DiffPoly:
     """Total x-derivative: sum over s of u^{s+1} d/du^s + t^{s+1} d/dt^s.
 
     Annihilates l.  Raises the standard degree by one and preserves both
-    the super degree and the even-factor count.
+    the super degree and the even-factor count.  Its images are integral,
+    so they need no scaling.
     """
-    return derivation(a, lambda s: u_jet(s + 1), lambda s: theta(s + 1))
+    return derivation(a, _next_jet, _next_theta)
 
 
 def bidegree(a: DiffPoly) -> Optional[Bidegree]:

@@ -36,6 +36,7 @@ from .linwin import (
     CompositionError,
     F1,
     DEFAULT_LADDER,
+    Echelon,
     OperatorMatrix,
     Row,
     SliceBasis,
@@ -48,7 +49,6 @@ from .linwin import (
     quotient_coordinates,
     quotient_representatives,
     rank_of,
-    reduce_against,
     rref,
     sparse,
     stabilized_dims,
@@ -135,16 +135,16 @@ def _joint_kernel(*parts: Tuple[OperatorMatrix, List[Row]]) -> List[Row]:
     """Joint kernel of operators on one domain, each modulo its relations.
 
     Each part is an operator with the relation rows of its codomain; the
-    columns are reduced against the relations and stacked, the codomain of
-    each later part placed below the one before.
+    columns are reduced against one Echelon of the relations and stacked,
+    the codomain of each later part placed below the one before.
     """
     stacked = [()] * len(parts[0][0].domain)
     shift = 0
     for op, rel_rows in parts:
         cols = op.cols
         if rel_rows:
-            red, piv = rref(rel_rows)
-            cols = [reduce_against(red, piv, col) for col in cols]
+            relations = Echelon(rel_rows)
+            cols = [relations.reduce(col) for col in cols]
         stacked = [top + tuple((i + shift, x) for i, x in col)
                    for top, col in zip(stacked, cols)]
         shift += len(op.codomain)
@@ -177,7 +177,7 @@ def _bh_complex(kind: str, p: int, d: int, c: int):
     if p >= 2 and d >= 2:
         first = d2_piece_matrix(p - 2, d - 2, c + 1)
         second = d1_piece_matrix(p - 1, d - 1, c + 1)
-        image = [second.apply(col) for col in first.cols]
+        image = second.apply_all(first.cols)
     return kernel, image
 
 

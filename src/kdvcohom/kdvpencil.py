@@ -23,6 +23,7 @@ from .algebra import (
     Monomial,
     ZERO,
     derivation,
+    integer_image,
     lam_var,
     mul,
     partial,
@@ -46,12 +47,9 @@ P1_DENSITY = poly("1/2 t0 t1")
 P2_DENSITY = poly("1/2 u t0 t1")
 PENCIL_DENSITY = P2_DENSITY - lam_var() * P1_DENSITY
 
-D1 = build_dp(P1_DENSITY)
-D1.name = "d1"
-D2 = build_dp(P2_DENSITY)
-D2.name = "d2"
-DLAMBDA = build_dp(PENCIL_DENSITY)
-DLAMBDA.name = "dlambda"
+D1 = build_dp(P1_DENSITY, name="d1")
+D2 = build_dp(P2_DENSITY, name="d2")
+DLAMBDA = build_dp(PENCIL_DENSITY, name="dlambda")
 
 
 def d_lambda(a: DiffPoly) -> DiffPoly:
@@ -107,11 +105,12 @@ def d0_explicit(x: DiffPoly, q: int) -> DiffPoly:
     """
     if q < 0:
         raise ValueError("column index must be >= 0")
-    even_coef = (u_jet(0) - lam_var()) * theta(q + 1) \
-        + Fraction(1, 2) * u_jet(q + 1) * theta(0)
-    odd_coef = Fraction(1, 2) * theta(0) * theta(q + 1)
-    return derivation(x, lambda s: even_coef if s == q else ZERO,
-                      lambda s: odd_coef if s == q else ZERO)
+    even_coef = integer_image((u_jet(0) - lam_var()) * theta(q + 1)
+                              + Fraction(1, 2) * u_jet(q + 1) * theta(0))
+    odd_coef = integer_image(Fraction(1, 2) * theta(0) * theta(q + 1))
+    zero = integer_image(ZERO)
+    return derivation(x, lambda s: even_coef if s == q else zero,
+                      lambda s: odd_coef if s == q else zero)
 
 
 # -- page one --------------------------------------------------------------

@@ -19,8 +19,11 @@ and come out (divided by the pivot entry, or by the scale of a remainder).
 rref, reduce_against, in_span, solve, nullspace, intersect_with_coordinates
 and quotient_representatives take and return Rows, rank_of and
 added_pivots take Rows, and all of them are thin views of it; only solve
-hands back a dense coordinate vector.  sparse() and dense() convert at
-the edges, where published results hold dense tuples.  The reduced form
+hands back a dense coordinate vector.  Matrix products run on ints the
+same way: OperatorMatrix.apply_all scales the columns it reads once per
+call and builds a Fraction only for a nonzero entry of an image, which is
+how composites (d after d, say) are formed.  sparse() and dense() convert
+at the edges, where published results hold dense tuples.  The reduced form
 of a span is unique, so every result is canonical; no floating point, no
 probabilistic shortcuts.
 """
@@ -32,10 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import index
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import Bidegree, DiffPoly, Monomial
+from .algebra import Bidegree, DiffPoly, Monomial, _integers
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -233,25 +235,6 @@ def transpose(cols: Sequence[Row]) -> List[Row]:
         for i, x in col:
             rows.setdefault(i, []).append((j, x))
     return [tuple(rows[i]) for i in sorted(rows)]
-
-
-def _integers(row: Row) -> Tuple[Dict[int, int], int]:
-    """row as a col -> int dict v and a positive int den with row == v / den.
-
-    den is the lcm of the entries' denominators.  An entry without an
-    integer numerator and denominator (a float, say) raises TypeError.
-    """
-    try:
-        den = lcm(*[x.denominator for _, x in row])
-        return {j: index(x.numerator) * (den // x.denominator) for j, x in row}, den
-    except (AttributeError, TypeError):
-        for j, x in row:
-            try:
-                index(x.numerator), index(x.denominator)
-            except (AttributeError, TypeError):
-                raise TypeError(f"entry {x!r} in column {j} is not an int "
-                                f"or a Fraction") from None
-        raise
 
 
 def _fractions(v: Dict[int, int], den: int) -> Row:
@@ -466,11 +449,33 @@ class OperatorMatrix:
 
     def apply(self, vec: Row) -> Row:
         """The image of a domain Row, as a codomain Row."""
-        out: Dict[int, Fraction] = {}
-        for j, x in vec:
-            for i, c in self.cols[j]:
-                out[i] = out.get(i, F0) + x * c
-        return _row({i: v for i, v in out.items() if v})
+        return self.apply_all((vec,))[0]
+
+    def apply_all(self, vecs: Sequence[Row]) -> List[Row]:
+        """The images of domain Rows, as codomain Rows, computed on ints.
+
+        The columns the vectors touch are scaled once, to integers over one
+        common lcm of their denominators, and each vector over the lcm of
+        its own; an image accumulates integer numerators, and a Fraction is
+        built only for a nonzero entry.  Composing two matrices is
+        second.apply_all(first.cols).  The integer columns live only for
+        the call: nothing is added to the shared matrix.
+        """
+        ints = [_integers(vec) for vec in vecs]
+        touched = {j for v, _ in ints for j in v}
+        scaled = {j: _integers(self.cols[j]) for j in touched}
+        den_c = lcm(*[den for _, den in scaled.values()])
+        cols = {j: [(i, x * (den_c // den)) for i, x in col.items()]
+                for j, (col, den) in scaled.items()}
+        out = []
+        for v, den in ints:
+            acc: Dict[int, int] = {}
+            for j, x in v.items():
+                for i, c in cols[j]:
+                    acc[i] = acc.get(i, 0) + x * c
+            den *= den_c
+            out.append(tuple((i, Fraction(acc[i], den)) for i in sorted(acc) if acc[i]))
+        return out
 
 
 def operator_matrix(op: Callable[[DiffPoly], DiffPoly], domain: SliceBasis,

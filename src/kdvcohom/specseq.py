@@ -60,8 +60,10 @@ class FilteredSlice:
     degrees must be consecutive.  diffs[n] maps degree n to n + 1; the top
     degree maps into an empty basis, which asserts that the complex really
     stops.  validate() checks the shapes, the filtration axiom and that the
-    differential squares to zero, and is run once per instance on first use;
-    so is the pairing behind every page dimension.
+    differential squares to zero, every composite d after d computed
+    exactly in integer arithmetic (OperatorMatrix.apply_all), and is run
+    once per instance on first use; so is the pairing behind every page
+    dimension.
     """
 
     degrees: Tuple[int, ...]
@@ -101,11 +103,9 @@ class FilteredSlice:
         # composites only once every shape is known to match
         for n in self.degrees:
             d, d2 = self.diffs.get(n), self.diffs.get(n + 1)
-            if d is not None and d2 is not None:
-                for col in d.cols:
-                    if d2.apply(col):
-                        raise CompositionError(
-                            f"differential does not square to zero at degree {n}")
+            if d is not None and d2 is not None and any(d2.apply_all(d.cols)):
+                raise CompositionError(
+                    f"differential does not square to zero at degree {n}")
         self._validated = True
 
     def _pairing(self) -> Dict[Tuple[int, int], List[Optional[int]]]:

@@ -8,11 +8,20 @@ is solved for piece by piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .algebra import Bidegree, DiffPoly, ZERO, derivation, dtot, monomial_partials
+from .algebra import (
+    Bidegree,
+    DiffPoly,
+    IntegerImage,
+    ZERO,
+    derivation,
+    dtot,
+    image_poly,
+    integer_image,
+    monomial_partials,
+)
 from .linwin import F0, enumerate_piece_basis, operator_matrix, solve, sparse
 
 
@@ -45,7 +54,6 @@ def delta_theta(a: DiffPoly) -> DiffPoly:
     return _euler(a, "t")
 
 
-@dataclass
 class OperatorSpec:
     """Evolutionary superfield given by its action on the two generators.
 
@@ -54,40 +62,69 @@ class OperatorSpec:
 
         op(a) = sum_s dtot^s(even_seed) da/du^s + dtot^s(odd_seed) da/dt^s.
 
-    Prolonged coefficients are cached per instance.
+    An OperatorSpec is frozen, and it keeps its seeds and their
+    prolongations dtot^s only as integer images (algebra.integer_image):
+    each is scaled once, the seeds on construction and each prolongation
+    when first needed, and kept for every later application.  even_seed,
+    odd_seed, even_gen and odd_gen build a fresh polynomial on every call,
+    so nothing a caller holds reaches the cache.
     """
 
-    even_seed: DiffPoly
-    odd_seed: DiffPoly
-    name: str = ""
-    _even: Dict[int, DiffPoly] = field(default_factory=dict, repr=False)
-    _odd: Dict[int, DiffPoly] = field(default_factory=dict, repr=False)
+    __slots__ = ("name", "_images")
+
+    def __init__(self, even_seed: DiffPoly, odd_seed: DiffPoly, name: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_images", {("u", 0): integer_image(even_seed),
+                                             ("t", 0): integer_image(odd_seed)})
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"OperatorSpec is frozen; cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"OperatorSpec is frozen; cannot delete {attr}")
+
+    def _image(self, kind: str, s: int) -> IntegerImage:
+        """The integer image of u^s (kind "u") or t^s (kind "t")."""
+        key = (kind, s)
+        if key not in self._images:
+            self._images[key] = integer_image(dtot(image_poly(self._image(kind, s - 1))))
+        return self._images[key]
+
+    @property
+    def even_seed(self) -> DiffPoly:
+        return self.even_gen(0)
+
+    @property
+    def odd_seed(self) -> DiffPoly:
+        return self.odd_gen(0)
 
     def even_gen(self, s: int) -> DiffPoly:
-        if s not in self._even:
-            self._even[s] = self.even_seed if s == 0 else dtot(self.even_gen(s - 1))
-        return self._even[s]
+        """dtot^s(even_seed), the image of u^s."""
+        return image_poly(self._image("u", s))
 
     def odd_gen(self, s: int) -> DiffPoly:
-        if s not in self._odd:
-            self._odd[s] = self.odd_seed if s == 0 else dtot(self.odd_gen(s - 1))
-        return self._odd[s]
+        """dtot^s(odd_seed), the image of t^s."""
+        return image_poly(self._image("t", s))
 
     def __call__(self, a: DiffPoly) -> DiffPoly:
         return apply_op(self, a)
 
+    def __repr__(self) -> str:
+        return (f"OperatorSpec({self.even_seed!r}, {self.odd_seed!r}, "
+                f"name={self.name!r})")
+
 
 def apply_op(op: OperatorSpec, a: DiffPoly) -> DiffPoly:
-    return derivation(a, op.even_gen, op.odd_gen)
+    return derivation(a, lambda s: op._image("u", s), lambda s: op._image("t", s))
 
 
-def build_dp(density: DiffPoly) -> OperatorSpec:
+def build_dp(density: DiffPoly, name: str = "") -> OperatorSpec:
     """Evolutionary field of a local functional with the given density.
 
     The even seed is the odd variational derivative and vice versa; this is
     the Hamiltonian pairing for the odd symplectic structure on jets.
     """
-    return OperatorSpec(delta_theta(density), delta_u(density))
+    return OperatorSpec(delta_theta(density), delta_u(density), name)
 
 
 # -- functionals -----------------------------------------------------------

@@ -19,7 +19,6 @@ from kdvcohom.algebra import (
     ONE,
     ZERO,
     bidegree,
-    derivation,
     dtot,
     format_poly,
     lam_var,
@@ -33,7 +32,7 @@ from kdvcohom.algebra import (
     theta,
     u_jet,
 )
-from kdvcohom.varcalc import OperatorSpec
+from kdvcohom.varcalc import OperatorSpec, apply_op
 
 
 # -- monomial bookkeeping --------------------------------------------------
@@ -231,13 +230,27 @@ def derivation_reference(a, even_image, odd_image):
 # an odd field whose seeds carry the denominators 2, 3 and 7
 FIELD_237 = OperatorSpec(poly("1/2 u t1 + 2/3 u1 t0"), poly("3/7 t0 t1 + -1/3 u t0 t2"))
 
+# monomials and polynomials with jets up to order 5, even and odd
+st_monomial_5 = st.builds(
+    lambda lam, u0, evs, odd: mono(lam=lam, u0=u0, even=list(evs.items()), odd=odd),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.dictionaries(st.integers(1, 5), st.integers(1, 2), max_size=2),
+    st.sets(st.integers(0, 5), max_size=2).map(sorted),
+)
+st_poly_5 = st.lists(
+    st.tuples(st_monomial_5, st.fractions(max_denominator=6)), max_size=3
+).map(lambda ts: DiffPoly({m: c for m, c in ts}))
+
 
 @settings(max_examples=60, deadline=None)
-@given(st_poly)
+@given(st_poly_5)
 def test_derivation_matches_fraction_reference(a):
-    for even_image, odd_image in ((FIELD_237.even_gen, FIELD_237.odd_gen),
-                                  (lambda s: u_jet(s + 1), lambda s: theta(s + 1))):
-        got = derivation(a, even_image, odd_image)
+    # the prescaled integer images of an operator and the integral images of
+    # dtot against the same derivation summed term by term in Fractions
+    for got, even_image, odd_image in (
+            (apply_op(FIELD_237, a), FIELD_237.even_gen, FIELD_237.odd_gen),
+            (dtot(a), lambda s: u_jet(s + 1), lambda s: theta(s + 1))):
         assert got == derivation_reference(a, even_image, odd_image)
         assert all(type(c) is Fraction and c for c in got.terms.values())
 

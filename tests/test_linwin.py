@@ -385,6 +385,86 @@ def test_homology_rejects_mismatched_middle():
         fs.validate()
 
 
+# -- integer composites -----------------------------------------------------------
+
+
+def abstract_basis(n):
+    """A basis of n stand-in monomials, for matrices that are only numbers."""
+    return SliceBasis(Bidegree(0, 0), None, tuple(Monomial(lam=i) for i in range(n)))
+
+
+def matrix_of(dom, cod, cols):
+    """The OperatorMatrix with the given dense columns."""
+    return OperatorMatrix(dom, cod, tuple(sparse(col) for col in cols))
+
+
+# entries are ints and Fractions over the denominators 2, 3 and 7
+st_entry = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 7])),
+    st.builds(F, st.integers(-6, 6), st.sampled_from([6, 14, 21, 42])))
+
+
+def st_columns(n_cols, n_rows):
+    return st.lists(st.lists(st_entry, min_size=n_rows, max_size=n_rows),
+                    min_size=n_cols, max_size=n_cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(1, 4)] * 3).flatmap(
+    lambda n: st.tuples(st_columns(n[0], n[1]), st_columns(n[1], n[2]))))
+def test_composite_matches_fraction_reference(pair):
+    first_cols, second_cols = pair
+    a, b, c = len(first_cols), len(second_cols), len(second_cols[0])
+    first = matrix_of(abstract_basis(a), abstract_basis(b), first_cols)
+    second = matrix_of(abstract_basis(b), abstract_basis(c), second_cols)
+    want = []
+    for col in first_cols:
+        # sum over j of x_j times column j of the second matrix, in Fractions
+        out = [F(0)] * c
+        for x, other in zip(col, second_cols):
+            for i, y in enumerate(other):
+                out[i] += F(x) * F(y)
+        want.append(sparse(out))
+    got = second.apply_all(first.cols)
+    assert got == want
+    assert all(type(x) is Fraction and x for row in got for _, x in row)
+    assert [second.apply(col) for col in first.cols] == want
+
+
+def test_composite_float_entry_raises_naming_its_column():
+    second = matrix_of(abstract_basis(3), abstract_basis(2),
+                       [[1, 0], [F(1, 2), 3], [0, 1]])
+    with pytest.raises(TypeError, match="entry 0.5 in column 2"):
+        second.apply_all([((0, F(1)), (2, 0.5))])
+    inexact = OperatorMatrix(abstract_basis(1), abstract_basis(2), (((1, 0.25),),))
+    with pytest.raises(TypeError, match="entry 0.25 in column 1"):
+        inexact.apply_all([((0, 1),)])
+
+
+def _composite_pair(cancel):
+    """d then d2 with d = (1/2, 1/3); d2 d is 1/6 at one entry, or zero
+    when cancel, and either way the first entry cancels only over the
+    common denominator 6 of the terms 1/2 * 1 and 1/3 * (-3/2)."""
+    d = matrix_of(abstract_basis(1), abstract_basis(2), [[F(1, 2), F(1, 3)]])
+    d2 = matrix_of(abstract_basis(2), abstract_basis(2),
+                   [[1, F(1, 3)], [F(-3, 2), F(-1, 2) if cancel else 0]])
+    return _two_step(d, d2)
+
+
+def test_validate_catches_a_single_sixth():
+    fs = _composite_pair(cancel=False)
+    assert fs.diffs[1].apply_all(fs.diffs[0].cols) == [((1, F(1, 6)),)]
+    with pytest.raises(CompositionError, match="does not square to zero at degree 0"):
+        fs.validate()
+
+
+def test_validate_passes_a_pair_cancelling_over_the_common_denominator():
+    fs = _composite_pair(cancel=True)
+    assert fs.diffs[1].apply_all(fs.diffs[0].cols) == [()]
+    fs.validate()
+
+
 def test_quotient_representatives_prefers_monomials():
     w = Window(1, 1)
     s0 = enumerate_basis(Bidegree(0, 0), w)

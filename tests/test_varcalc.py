@@ -5,6 +5,8 @@ implementation: each Euler operator example, the two seed computations
 for the pencil densities, and the bracket symmetry example.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,50 @@ def test_operator_commutes_with_dtot():
     for text in ("u u1", "u t1", "u1 t0 t2", "1/2 u^2 t0"):
         a = poly(text)
         assert apply_op(op, dtot(a)) == dtot(apply_op(op, a))
+
+
+def test_operator_spec_caches_are_out_of_callers_reach():
+    op = build_dp(poly("1/2 t0 t1"), name="d1")
+    assert op.name == "d1"
+    want = poly("-1 u1 t0 t1 + -1 u t0 t2")
+    assert op(poly("u u1 t0")) == want
+    # what a caller is handed is a fresh polynomial, never the cached image
+    op.even_gen(1).terms.clear()
+    op.even_seed.terms.clear()
+    op.odd_gen(0).terms[mono(u0=1)] = Fraction(1)
+    assert op(poly("u u1 t0")) == want
+    assert op.even_gen(1) == theta(2)
+    for attr, value in (("even_seed", ZERO), ("odd_seed", ZERO), ("name", "d2"),
+                        ("_images", {})):
+        with pytest.raises(AttributeError):
+            setattr(op, attr, value)
+    with pytest.raises(AttributeError):
+        del op.name
+    assert op(poly("u u1 t0")) == want
+
+
+def test_each_prolonged_image_is_scaled_once(monkeypatch):
+    from kdvcohom import varcalc
+    from kdvcohom.acceptance import _battery
+    from kdvcohom.kdvpencil import D2, P2_DENSITY
+
+    xs = _battery(6, 3, 2)[-50:]
+    want = [D2(x) for x in xs]
+    scaled = []
+    real = varcalc.integer_image
+
+    def counting(a):
+        scaled.append(a)
+        return real(a)
+
+    monkeypatch.setattr(varcalc, "integer_image", counting)
+    op = build_dp(P2_DENSITY, name="d2")
+    first = [op(x) for x in xs]
+    assert first == want
+    # the seeds and every prolongation the battery reached, once each
+    assert len(op._images) > 2 and len(scaled) == len(op._images)
+    assert [op(x) for x in xs] == first
+    assert len(scaled) == len(op._images)
 
 
 # -- functionals ----------------------------------------------------------------
