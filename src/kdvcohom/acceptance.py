@@ -218,9 +218,8 @@ def _page_coords(entry: PageEntry, a: DiffPoly) -> Optional[List[Fraction]]:
     """Coordinates of a polynomial's class over a page entry's representatives."""
     if entry.basis is None or not entry.basis.monomials:
         return [] if not a.terms else None
-    return quotient_coordinates([sparse(v) for v, _ in entry.reps],
-                                [sparse(r) for r in entry.relation_rows],
-                                sparse(entry.basis.vector_of(a)))
+    reps = [sparse(v) for v, _ in entry.reps]
+    return quotient_coordinates(reps, entry.relation_rows, entry.basis.vector_of(a))
 
 
 # -- criteria ------------------------------------------------------------------

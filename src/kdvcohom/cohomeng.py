@@ -80,9 +80,10 @@ class PieceHomology:
     """One exact cohomology group on an even-count piece.
 
     reps are (coordinate vector, monomial-or-None) pairs; relation_rows
-    span everything the classes are taken modulo (coboundaries plus any
-    presentation relations).  cocycle_rank and boundary_rank are the
-    dimensions of the lifted kernel and of that relation span.
+    are the Rows spanning everything the classes are taken modulo
+    (coboundaries plus any presentation relations).  cocycle_rank and
+    boundary_rank are the dimensions of the lifted kernel and of that
+    relation span.
     """
     kind: str
     bidegree: Bidegree
@@ -92,7 +93,7 @@ class PieceHomology:
     boundary_rank: int
     dim: int
     reps: Tuple[Tuple[Tuple[Fraction, ...], Optional[Monomial]], ...]
-    relation_rows: Tuple[Tuple[Fraction, ...], ...]
+    relation_rows: Tuple[Row, ...]
 
     def window_count(self, w: Window) -> int:
         return len(window_reps(self.basis, self.reps, w))
@@ -198,13 +199,12 @@ def piece_homology(kind: str, p: int, d: int, c: int) -> PieceHomology:
     # a canonical kernel basis is independent, so its length is the rank
     coc_rank = len(kernel)
     bnd_rank = len(rel_red)
-    n = len(basis)
     return PieceHomology(
         kind=kind, bidegree=Bidegree(p, d), ucount=c, basis=basis,
         cocycle_rank=coc_rank, boundary_rank=bnd_rank,
         dim=coc_rank - bnd_rank,
-        reps=tuple((tuple(dense(v, n)), m) for v, m in reps),
-        relation_rows=tuple(tuple(dense(r, n)) for r in rel_red))
+        reps=tuple((tuple(dense(v, len(basis))), m) for v, m in reps),
+        relation_rows=tuple(rel_red))
 
 
 def piece_count_range(kind: str, d: int, w: Window) -> range:
@@ -244,9 +244,8 @@ def class_coords(ph: PieceHomology, candidate: DiffPoly) -> Optional[List[Fracti
 
     None when the candidate does not lie in the cocycle span at all.
     """
-    return quotient_coordinates([sparse(v) for v, _ in ph.reps],
-                                [sparse(r) for r in ph.relation_rows],
-                                sparse(ph.basis.vector_of(candidate)))
+    reps = [sparse(v) for v, _ in ph.reps]
+    return quotient_coordinates(reps, ph.relation_rows, ph.basis.vector_of(candidate))
 
 
 # -- the two theories side by side -----------------------------------------

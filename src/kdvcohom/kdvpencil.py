@@ -261,17 +261,10 @@ def _op_piece_matrix(op: OperatorSpec, key: str, bd: Bidegree, c: int,
                      c_out: int, include_lambda: bool) -> OperatorMatrix:
     cache_key = (key, bd.p, bd.d, c, include_lambda)
     if cache_key not in _PIECE_CACHE:
-        # each piece basis is enumerated once: the domain is the codomain of
-        # the cached matrix one degree down, the codomain the domain of the
-        # one a degree up, so consecutive matrices share their basis object
-        below = _PIECE_CACHE.get((key, bd.p - 1, bd.d - 1, 2 * c - c_out, include_lambda))
-        above = _PIECE_CACHE.get((key, bd.p + 1, bd.d + 1, c_out, include_lambda))
         up = Bidegree(bd.p + 1, bd.d + 1)
-        dom = (below.codomain if below is not None
-               else enumerate_piece_basis(bd, c, include_lambda))
-        cod = (above.domain if above is not None
-               else enumerate_piece_basis(up, c_out, include_lambda))
-        _PIECE_CACHE[cache_key] = operator_matrix(op, dom, cod)
+        _PIECE_CACHE[cache_key] = operator_matrix(
+            op, enumerate_piece_basis(bd, c, include_lambda),
+            enumerate_piece_basis(up, c_out, include_lambda))
     return _PIECE_CACHE[cache_key]
 
 

@@ -22,8 +22,9 @@ added_pivots take Rows, and all of them are thin views of it; only solve
 hands back a dense coordinate vector.  Matrix products run on ints the
 same way: OperatorMatrix.apply_all scales the columns it reads once per
 call and builds a Fraction only for a nonzero entry of an image, which is
-how composites (d after d, say) are formed.  sparse() and dense() convert
-at the edges, where published results hold dense tuples.  The reduced form
+how composites (d after d, say) are formed.  SliceBasis.vector_of gives
+the Row of a polynomial; sparse() and dense() convert at the edges, where
+published representatives hold dense tuples.  The reduced form
 of a span is unique, so every result is canonical; no floating point, no
 probabilistic shortcuts.
 """
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Bidegree, DiffPoly, Monomial, _integers
@@ -68,22 +70,25 @@ def window_leq(a: Window, b: Window) -> bool:
     return a.N <= b.N and a.L <= b.L
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceBasis:
     """Ordered monomial basis of one slice.
 
     window is None for pieces cut out by an even-factor count instead of a
-    reporting window; label then records the cut.
+    reporting window; label then records the cut.  A basis is frozen and
+    its monomial index is read-only, because piece bases are cached and
+    shared (enumerate_piece_basis).
     """
 
     bidegree: Bidegree
     window: Optional[Window]
     monomials: Tuple[Monomial, ...]
     label: str = ""
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _index: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index = {m: i for i, m in enumerate(self.monomials)}
+        object.__setattr__(self, "_index", MappingProxyType(
+            {m: i for i, m in enumerate(self.monomials)}))
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -101,11 +106,9 @@ class SliceBasis:
     def contains(self, m: Monomial) -> bool:
         return m in self._index
 
-    def vector_of(self, a: DiffPoly) -> List[Fraction]:
-        v = [F0] * len(self.monomials)
-        for m, c in a.terms.items():
-            v[self.index_of(m)] = c
-        return v
+    def vector_of(self, a: DiffPoly) -> Row:
+        """The Row of a polynomial; a monomial outside the slice raises."""
+        return tuple(sorted((self.index_of(m), c) for m, c in a.terms.items()))
 
     def poly_of(self, vec: Sequence[Fraction]) -> DiffPoly:
         return DiffPoly({m: c for m, c in zip(self.monomials, vec) if c})
@@ -177,11 +180,16 @@ def enumerate_basis(bd: Bidegree, w: Window, include_lambda: bool = True) -> Sli
     return SliceBasis(bd, w, tuple(sorted(monos)))
 
 
+@lru_cache(maxsize=None)
 def enumerate_piece_basis(bd: Bidegree, ucount: int, include_lambda: bool = True) -> SliceBasis:
     """All monomials of bidegree bd with a fixed even-factor count.
 
     These pieces are finite with no window bound: the count caps u-power
-    and l-power once the jet multiplicities are chosen.
+    and l-power once the jet multiplicities are chosen.  Each piece is
+    enumerated once and its frozen basis is shared by every caller: the
+    piece matrices, their homology and the presentations.  Callers in the
+    package pass all three arguments positionally, so one piece has one
+    cache key.
     """
     p, d = bd
     label = f"c={ucount}"
@@ -222,10 +230,6 @@ def dense(row: Row, n: int) -> List[Fraction]:
     for j, x in row:
         out[j] = x
     return out
-
-
-def _row(entries: Dict[int, Fraction]) -> Row:
-    return tuple(sorted(entries.items()))
 
 
 def transpose(cols: Sequence[Row]) -> List[Row]:
@@ -481,11 +485,8 @@ class OperatorMatrix:
 def operator_matrix(op: Callable[[DiffPoly], DiffPoly], domain: SliceBasis,
                     codomain: SliceBasis) -> OperatorMatrix:
     """Assemble the matrix of op on a slice; rejects codomain overflow."""
-    cols = []
-    for m in domain.monomials:
-        img = op(DiffPoly.monomial(m))
-        cols.append(_row({codomain.index_of(mm): c for mm, c in img.terms.items()}))
-    return OperatorMatrix(domain, codomain, tuple(cols))
+    return OperatorMatrix(domain, codomain, tuple(
+        codomain.vector_of(op(DiffPoly.monomial(m))) for m in domain.monomials))
 
 
 # -- homology -------------------------------------------------------------

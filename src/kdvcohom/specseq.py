@@ -14,8 +14,10 @@ vectors of level >= p, and the differential never lowers the level.  The
 page at (p, q) lives in total degree p + q, and its differential moves by
 (r, 1 - r).
 
-Every page dimension, the vanishing of every page differential and the
-limit page are read off one filtration-ordered pairing per slice, as
+A FilteredSlice is a frozen value, validated when it is built, so no
+function here checks it again.  Every page dimension, the vanishing of
+every page differential and the limit page are read off one
+filtration-ordered pairing per slice, a cached property of the slice, as
 persistent homology reads the spectral sequence of a filtered complex off
 a single reduction (Edelsbrunner, Letscher and Zomorodian 2002; Basu and
 Parida 2017).  The spans Z_r and B_{r-1} are built only where a
@@ -28,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import Monomial
 from .linwin import (
@@ -53,32 +56,33 @@ from .linwin import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilteredSlice:
     """One finite filtered complex: bases, levels and differentials by degree.
 
     degrees must be consecutive.  diffs[n] maps degree n to n + 1; the top
     degree maps into an empty basis, which asserts that the complex really
-    stops.  validate() checks the shapes, the filtration axiom and that the
-    differential squares to zero, every composite d after d computed
-    exactly in integer arithmetic (OperatorMatrix.apply_all), and is run
-    once per instance on first use; so is the pairing behind every page
-    dimension.
+    stops.  A slice is frozen: bases, levels and diffs are read-only
+    mappings over copies of what the constructor got, and the constructor
+    runs validate(), so an invalid slice cannot be built.  validate()
+    checks the shapes, the filtration axiom and that the differential
+    squares to zero, every composite d after d computed exactly in integer
+    arithmetic (OperatorMatrix.apply_all).  The pairing behind every page
+    dimension is a cached property, computed on first use.
     """
 
     degrees: Tuple[int, ...]
-    bases: Dict[int, SliceBasis]
-    levels: Dict[int, Tuple[int, ...]]
-    diffs: Dict[int, OperatorMatrix]
+    bases: Mapping[int, SliceBasis]
+    levels: Mapping[int, Tuple[int, ...]]
+    diffs: Mapping[int, OperatorMatrix]
     label: str = ""
 
     def __post_init__(self):
-        self._validated = False
-        self._pairs: Optional[Dict[Tuple[int, int], List[Optional[int]]]] = None
+        for name in ("bases", "levels", "diffs"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        self.validate()
 
     def validate(self) -> None:
-        if self._validated:
-            return
         for a, b in zip(self.degrees, self.degrees[1:]):
             if b != a + 1:
                 raise CompositionError(f"degrees not consecutive in {self.label}")
@@ -106,10 +110,10 @@ class FilteredSlice:
             if d is not None and d2 is not None and any(d2.apply_all(d.cols)):
                 raise CompositionError(
                     f"differential does not square to zero at degree {n}")
-        self._validated = True
 
-    def _pairing(self) -> Dict[Tuple[int, int], List[Optional[int]]]:
-        """The persistence pairing of the slice, by (degree, level).
+    @cached_property
+    def _pairing(self) -> Mapping[Tuple[int, int], Tuple[Optional[int], ...]]:
+        """The persistence pairing of the slice, by (degree, level), read-only.
 
         Each basis vector contributes the gap of its pair, the level
         difference of the two vectors, or None when it is unpaired.  The
@@ -121,25 +125,23 @@ class FilteredSlice:
         numbered after it.  The columns of a degree that leaves the slice
         are skipped, so the pairing of that degree is incomplete.
         """
-        if self._pairs is None:
-            self.validate()
-            order = sorted((lv, n, i) for n in self.degrees
-                           for i, lv in enumerate(self.levels[n]))
-            index = {(n, i): k for k, (_, n, i) in enumerate(order)}
-            cols = []
-            for _, n, i in reversed(order):
-                d = self.diffs.get(n)
-                cols.append(() if d is None or self.leaves_slice(n) else
-                            tuple(sorted((index[n + 1, j], x) for j, x in d.cols[i])))
-            partner = {}
-            for k, pc in zip(range(len(order) - 1, -1, -1), added_pivots(cols)):
-                if pc is not None:
-                    partner[k], partner[pc] = pc, k
-            self._pairs = {}
-            for k, (lv, n, _) in enumerate(order):
-                gap = abs(order[partner[k]][0] - lv) if k in partner else None
-                self._pairs.setdefault((n, lv), []).append(gap)
-        return self._pairs
+        order = sorted((lv, n, i) for n in self.degrees
+                       for i, lv in enumerate(self.levels[n]))
+        index = {(n, i): k for k, (_, n, i) in enumerate(order)}
+        cols = []
+        for _, n, i in reversed(order):
+            d = self.diffs.get(n)
+            cols.append(() if d is None or self.leaves_slice(n) else
+                        tuple(sorted((index[n + 1, j], x) for j, x in d.cols[i])))
+        partner = {}
+        for k, pc in zip(range(len(order) - 1, -1, -1), added_pivots(cols)):
+            if pc is not None:
+                partner[k], partner[pc] = pc, k
+        pairs: Dict[Tuple[int, int], List[Optional[int]]] = {}
+        for k, (lv, n, _) in enumerate(order):
+            gap = abs(order[partner[k]][0] - lv) if k in partner else None
+            pairs.setdefault((n, lv), []).append(gap)
+        return MappingProxyType({key: tuple(gaps) for key, gaps in pairs.items()})
 
     def leaves_slice(self, n: int) -> bool:
         """Whether the differential out of degree n maps outside the slice.
@@ -185,7 +187,6 @@ def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
 
     Z_r is the set of vectors of F^p whose differential lands in F^{p+r}.
     """
-    fs.validate()
     if n not in fs.bases:
         return []
     idx = fs.level_indices(n, p)
@@ -206,7 +207,6 @@ def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
 
 def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
     """Basis rows of d(F^{p-r} in degree n-1) intersected with F^p."""
-    fs.validate()
     if n not in fs.bases:
         return []
     d = fs.diffs.get(n - 1)
@@ -235,7 +235,8 @@ class PageEntry:
     """One spectral sequence entry with a deterministic transversal.
 
     Entries are shared, so every field is immutable.  relation_rows, the
-    span the representatives are taken modulo, is built on first read.
+    Rows of the span the representatives are taken modulo, is built on
+    first read.
     """
 
     r: int
@@ -247,11 +248,10 @@ class PageEntry:
     source: Optional[FilteredSlice] = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def relation_rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+    def relation_rows(self) -> Tuple[Row, ...]:
         if not self.basis:
             return ()
-        rows = _relation_rows(self.source, self.r, self.p, self.p + self.q)
-        return tuple(tuple(dense(v, len(self.basis))) for v in rows)
+        return tuple(_relation_rows(self.source, self.r, self.p, self.p + self.q))
 
     def window_count(self, w: Window) -> int:
         return len(window_reps(self.basis, self.reps, w))
@@ -266,14 +266,13 @@ def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
     The dimension is read off the pairing; the representatives are chosen
     from the spans, which must yield exactly that many.
     """
-    fs.validate()
     n = p + q
     basis = fs.bases.get(n)
     if basis is None or not basis.monomials:
         return PageEntry(r, p, q, 0, (), basis)
     if fs.level_indices(n, p):
         fs.require_inside([n])
-    dim = sum(g is None or g >= r for g in fs._pairing().get((n, p), ()))
+    dim = sum(g is None or g >= r for g in fs._pairing.get((n, p), ()))
     if not dim:
         return PageEntry(r, p, q, 0, (), basis, fs)
     reps = quotient_representatives(basis, z_rows(fs, r, p, n),
@@ -294,7 +293,6 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     follow those of the target.  Raises if an image fails to land in the
     target presentation, which would mean the page spaces are wrong.
     """
-    fs.validate()
     src = page(fs, r, p, q)
     dst = page(fs, r, p + r, q - r + 1)
     if not src.dim:
@@ -303,13 +301,12 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     cols = []
     d = fs.diffs.get(n)
     reps = [sparse(v) for v, _ in dst.reps]
-    relations = [sparse(v) for v in dst.relation_rows]
     for vec, _ in src.reps:
         w = d.apply(sparse(vec)) if d is not None else ()
         if not w:
             cols.append([F0] * dst.dim)
             continue
-        x = quotient_coordinates(reps, relations, w)
+        x = quotient_coordinates(reps, dst.relation_rows, w)
         if x is None:
             raise CompositionError(
                 f"page image escapes the target at r={r} (p,q)=({p},{q})")
@@ -320,7 +317,7 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
 def _gaps(fs: FilteredSlice) -> List[int]:
     """The gap of every pair of a slice that stays inside itself."""
     fs.require_inside(fs.degrees)
-    return [g for gs in fs._pairing().values() for g in gs if g is not None]
+    return [g for gs in fs._pairing.values() for g in gs if g is not None]
 
 
 def dr_is_zero(fs: FilteredSlice, r: int) -> bool:
@@ -340,7 +337,6 @@ def limit_page(fs: FilteredSlice, p: int, q: int) -> PageEntry:
 
 def homology_at(fs: FilteredSlice, n: int) -> HomologyDims:
     """Exact kernel/image/homology dimensions of the complex at degree n."""
-    fs.validate()
     if n not in fs.bases:
         return HomologyDims(0, 0, 0)
     d_out = fs.diffs.get(n)
@@ -358,7 +354,7 @@ def converge_check(fs: FilteredSlice) -> Dict[int, Tuple[int, int, bool]]:
     finite complex always converges, so a mismatch means an engine bug.
     """
     fs.require_inside(fs.degrees)
-    pairing = fs._pairing()
+    pairing = fs._pairing
     out = {}
     for n in fs.degrees:
         # the limit page is spanned by the unpaired vectors

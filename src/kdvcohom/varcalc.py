@@ -22,7 +22,7 @@ from .algebra import (
     integer_image,
     monomial_partials,
 )
-from .linwin import F0, enumerate_piece_basis, operator_matrix, solve, sparse
+from .linwin import F0, enumerate_piece_basis, operator_matrix, solve
 
 
 def _euler(a: DiffPoly, kind: str) -> DiffPoly:
@@ -144,8 +144,8 @@ _DTOT_PIECE: Dict[Tuple[int, int, int], object] = {}
 def _dtot_piece_matrix(p: int, d: int, c: int):
     key = (p, d, c)
     if key not in _DTOT_PIECE:
-        dom = enumerate_piece_basis(Bidegree(p, d - 1), c)
-        cod = enumerate_piece_basis(Bidegree(p, d), c)
+        dom = enumerate_piece_basis(Bidegree(p, d - 1), c, True)
+        cod = enumerate_piece_basis(Bidegree(p, d), c, True)
         _DTOT_PIECE[key] = operator_matrix(dtot, dom, cod)
     return _DTOT_PIECE[key]
 
@@ -162,7 +162,7 @@ def dtot_preimage(a: DiffPoly) -> Optional[DiffPoly]:
             # the total derivative raises the standard degree
             return None
         mat = _dtot_piece_matrix(p, d, c)
-        x = solve(mat.cols, sparse(mat.codomain.vector_of(comp)))
+        x = solve(mat.cols, mat.codomain.vector_of(comp))
         if x is None:
             return None
         out = out + mat.domain.poly_of(x)

@@ -20,6 +20,8 @@ from kdvcohom.kdvpencil import (
     P2_DENSITY,
     d0_explicit,
     d1_explicit,
+    d1_piece_matrix,
+    d2_piece_matrix,
     d_lambda,
     dlambda_piece_matrix,
     e1_basis,
@@ -30,6 +32,7 @@ from kdvcohom.kdvpencil import (
     u_weight,
 )
 from kdvcohom.linwin import Window
+from kdvcohom.specseq import homology_at
 
 from test_algebra import st_poly
 
@@ -220,6 +223,12 @@ def test_pencil_slice_degrees_share_one_basis():
             fs = pencil_filtered_slice(k, c, d_cap=7)
             for n in fs.degrees[:-1]:
                 assert fs.diffs[n].codomain is fs.bases[n + 1], (k, c, n)
+    # and every other user of a piece gets that same object too
+    from kdvcohom.cohomeng import piece_homology
+    for p, d, c in [(1, 1, 2), (2, 3, 1), (3, 3, 2), (2, 4, 3)]:
+        mat = dlambda_piece_matrix(p, d, c)
+        assert piece_homology("dlambda_A", p, d, c).basis is mat.domain, (p, d, c)
+        assert d1_piece_matrix(p, d, c).domain is d2_piece_matrix(p, d, c).domain
 
 
 def test_pencil_filtered_slice_levels():
@@ -238,5 +247,25 @@ def test_cached_piece_matrices_cannot_be_mutated():
                 col.clear()
         with pytest.raises(dataclasses.FrozenInstanceError):
             mat.cols = ()
+    # so are the bases they share
+    basis = dlambda_piece_matrix(3, 3, 2).domain
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.monomials = ()
+    with pytest.raises(TypeError):
+        basis._index[basis.monomials[0]] = 1
     piece_homology.cache_clear()
     assert windowed_dim("dlambda_A", 1, 1, Window(2, 1)) == 0
+    assert windowed_dim("dlambda_A", 3, 3, Window(2, 1)) == 3
+
+
+def test_cached_filtered_slice_cannot_be_mutated():
+    fs = pencil_filtered_slice(2, 3)
+    with pytest.raises(AttributeError):
+        fs.diffs.clear()
+    with pytest.raises(TypeError):
+        fs.levels[fs.degrees[0]] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fs.degrees = ()
+    assert pencil_filtered_slice(2, 3) is fs
+    assert [tuple(homology_at(fs, n)) for n in fs.degrees] == [
+        (0, 0, 0), (5, 5, 0), (13, 13, 0), (12, 12, 0), (4, 4, 0)]
