@@ -45,13 +45,7 @@ from .kdvpencil import (
     h_op,
     pencil_filtered_slice,
 )
-from .linwin import (
-    DEFAULT_LADDER,
-    Window,
-    enumerate_piece_basis,
-    quotient_coordinates,
-    sparse,
-)
+from .linwin import DEFAULT_LADDER, Window, enumerate_piece_basis
 from .specseq import PageEntry, converge_check, homology_at, page, page_dr_matrix
 from .varcalc import OperatorSpec, delta_theta, delta_u, schouten
 
@@ -214,14 +208,6 @@ def windowed_page_count(r: int, p: int, q: int, w: Window) -> int:
     return windowed_page_counts(r, p, q, (w,))[0]
 
 
-def _page_coords(entry: PageEntry, a: DiffPoly) -> Optional[List[Fraction]]:
-    """Coordinates of a polynomial's class over a page entry's representatives."""
-    if entry.basis is None or not entry.basis.monomials:
-        return [] if not a.terms else None
-    reps = [sparse(v) for v, _ in entry.reps]
-    return quotient_coordinates(reps, entry.relation_rows, entry.basis.vector_of(a))
-
-
 # -- criteria ------------------------------------------------------------------
 
 
@@ -300,7 +286,7 @@ def check_page_one_differential() -> Tuple[bool, str]:
                     if not src.dim:
                         continue
                     for j, x in enumerate(src.rep_polys()):
-                        want = _page_coords(dst, d1_explicit(x, q))
+                        want = class_coords(dst, d1_explicit(x, q))
                         got = list(cols[j]) if dst.dim else []
                         ncols += 1
                         if any(got):

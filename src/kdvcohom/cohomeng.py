@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Bidegree, DiffPoly, Monomial, dtot
 from .kdvpencil import (
@@ -38,23 +38,25 @@ from .linwin import (
     DEFAULT_LADDER,
     Echelon,
     OperatorMatrix,
+    PublishedReps,
     Row,
     SliceBasis,
     StabilizationReport,
     Window,
-    dense,
     enumerate_piece_basis,
     nullspace,
     operator_matrix,
-    quotient_coordinates,
+    publish_reps,
     quotient_representatives,
     rank_of,
+    rep_coordinates,
     rref,
     sparse,
     stabilized_dims,
     transpose,
     window_reps,
 )
+from .specseq import PageEntry
 from .varcalc import dtot_preimage
 
 KINDS = ("dlambda_A", "dlambda_Q", "dlambda_F", "d1_A", "bh_A", "bh_F")
@@ -92,7 +94,7 @@ class PieceHomology:
     cocycle_rank: int
     boundary_rank: int
     dim: int
-    reps: Tuple[Tuple[Tuple[Fraction, ...], Optional[Monomial]], ...]
+    reps: PublishedReps
     relation_rows: Tuple[Row, ...]
 
     def window_count(self, w: Window) -> int:
@@ -203,7 +205,7 @@ def piece_homology(kind: str, p: int, d: int, c: int) -> PieceHomology:
         kind=kind, bidegree=Bidegree(p, d), ucount=c, basis=basis,
         cocycle_rank=coc_rank, boundary_rank=bnd_rank,
         dim=coc_rank - bnd_rank,
-        reps=tuple((tuple(dense(v, len(basis))), m) for v, m in reps),
+        reps=publish_reps(basis, reps),
         relation_rows=tuple(rel_red))
 
 
@@ -239,13 +241,19 @@ def stabilized(kind: str, p: int, d: int,
     return stabilized_dims(pts)
 
 
-def class_coords(ph: PieceHomology, candidate: DiffPoly) -> Optional[List[Fraction]]:
-    """Coordinates of a polynomial's class over the piece representatives.
+def class_coords(group: Union[PieceHomology, PageEntry],
+                 candidate: DiffPoly) -> Optional[List[Fraction]]:
+    """Coordinates of a polynomial's class over the representatives of a
+    piece cohomology group or of a page entry.
 
-    None when the candidate does not lie in the cocycle span at all.
+    None when the candidate does not lie in the cocycle span at all; a
+    group without monomials has only the zero class.
     """
-    reps = [sparse(v) for v, _ in ph.reps]
-    return quotient_coordinates(reps, ph.relation_rows, ph.basis.vector_of(candidate))
+    if not group.basis:
+        return None if candidate.terms else []
+    xs = rep_coordinates(group.reps, group.relation_rows,
+                         [group.basis.vector_of(candidate)])
+    return None if xs is None else xs[0]
 
 
 # -- the two theories side by side -----------------------------------------
@@ -312,20 +320,14 @@ class LesAudit:
         return all(n.exact for n in self.nodes)
 
 
-def _node_coords(ph: PieceHomology, a: DiffPoly) -> List[Fraction]:
-    x = class_coords(ph, a)
-    if x is None:
-        raise CompositionError(
-            f"a connecting image escapes the classes at {ph.kind} "
-            f"{tuple(ph.bidegree)} c={ph.ucount}")
-    return x
-
-
 def _push_classes(src: PieceHomology, dst: PieceHomology, push) -> List[List[Fraction]]:
     """Class matrix columns of a chain-level map between two nodes."""
-    cols = []
-    for vec, _ in src.reps:
-        cols.append(_node_coords(dst, push(src.basis.poly_of(list(vec)))))
+    cols = rep_coordinates(dst.reps, dst.relation_rows,
+                           [dst.basis.vector_of(push(a)) for a in src.rep_polys()])
+    if cols is None:
+        raise CompositionError(
+            f"a connecting image escapes the classes at {dst.kind} "
+            f"{tuple(dst.bidegree)} c={dst.ucount}")
     return cols
 
 

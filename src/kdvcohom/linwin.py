@@ -16,17 +16,17 @@ pivot, and rows are combined fraction-free by cross-multiplication.
 Fractions appear only where Rows go in (scaled once by the lcm of their
 denominators; an entry that is not an int or a Fraction raises TypeError)
 and come out (divided by the pivot entry, or by the scale of a remainder).
-rref, reduce_against, in_span, solve, nullspace, intersect_with_coordinates
-and quotient_representatives take and return Rows, rank_of and
-added_pivots take Rows, and all of them are thin views of it; only solve
-hands back a dense coordinate vector.  Matrix products run on ints the
-same way: OperatorMatrix.apply_all scales the columns it reads once per
-call and builds a Fraction only for a nonzero entry of an image, which is
-how composites (d after d, say) are formed.  SliceBasis.vector_of gives
-the Row of a polynomial; sparse() and dense() convert at the edges, where
-published representatives hold dense tuples.  The reduced form
-of a span is unique, so every result is canonical; no floating point, no
-probabilistic shortcuts.
+rref, reduce_against, in_span, nullspace, intersect_with_coordinates and
+quotient_representatives take and return Rows, rank_of and added_pivots
+take Rows, and all of them are thin views of it.  Every coordinate is one
+exact solve, quotient_coordinates (solve is its one-vector case).  Matrix
+products run on ints the same way: OperatorMatrix.apply_all scales the
+columns it reads once per call and builds a Fraction only for a nonzero
+entry of an image, which is how composites (d after d, say) are formed.
+SliceBasis.vector_of gives the Row of a polynomial.  Published
+representatives are dense tuples, written and read back only here.  The
+reduced form of a span is unique, so every result is canonical; no
+floating point, no probabilistic shortcuts.
 """
 
 from __future__ import annotations
@@ -180,17 +180,20 @@ def enumerate_basis(bd: Bidegree, w: Window, include_lambda: bool = True) -> Sli
     return SliceBasis(bd, w, tuple(sorted(monos)))
 
 
-@lru_cache(maxsize=None)
 def enumerate_piece_basis(bd: Bidegree, ucount: int, include_lambda: bool = True) -> SliceBasis:
     """All monomials of bidegree bd with a fixed even-factor count.
 
     These pieces are finite with no window bound: the count caps u-power
     and l-power once the jet multiplicities are chosen.  Each piece is
     enumerated once and its frozen basis is shared by every caller: the
-    piece matrices, their homology and the presentations.  Callers in the
-    package pass all three arguments positionally, so one piece has one
-    cache key.
+    piece matrices, their homology and the presentations, however they
+    spell the arguments: the cache key is normalised first.
     """
+    return _piece_basis(Bidegree(*bd), ucount, bool(include_lambda))
+
+
+@lru_cache(maxsize=None)
+def _piece_basis(bd: Bidegree, ucount: int, include_lambda: bool) -> SliceBasis:
     p, d = bd
     label = f"c={ucount}"
     if p < 0 or d < 0 or ucount < 0:
@@ -382,25 +385,31 @@ def solve(cols: Sequence[Row], b: Row) -> Optional[List[Fraction]]:
     x is dense, one coordinate per column.  Free variables are set to zero;
     with the canonical column order this makes the solution deterministic.
     """
-    n = len(cols)
-    x = [F0] * n
-    for row in Echelon(transpose([*cols, b])).rows():
-        pc, last = row[0][0], row[-1]
-        if pc == n:
-            return None
-        if last[0] == n:
-            x[pc] = last[1]
-    return x
+    xs = quotient_coordinates(cols, (), (b,))
+    return None if xs is None else xs[0]
 
 
-def quotient_coordinates(reps: Sequence[Row], relations: Sequence[Row], vec: Row):
-    """Coordinates of vec over the rows reps, modulo the span of relations.
+def quotient_coordinates(reps: Sequence[Row], relations: Sequence[Row],
+                         vecs: Sequence[Row]) -> Optional[List[List[Fraction]]]:
+    """Coordinates of each of vecs over the rows reps, modulo the relations.
 
-    None when vec lies outside span(reps + relations).  With no reps the
-    answer is [] exactly when vec lies in the span of the relations.
+    One elimination of the matrix with columns reps, relations and vecs,
+    free variables set to zero.  None when any vector lies outside
+    span(reps + relations); [] for no vecs, without an elimination.
     """
-    x = solve([*reps, *relations], vec)
-    return None if x is None else x[:len(reps)]
+    if not vecs:
+        return []
+    k, n = len(reps), len(reps) + len(relations)
+    xs = [[F0] * k for _ in vecs]
+    for row in Echelon(transpose([*reps, *relations, *vecs])).rows():
+        pc = row[0][0]
+        if pc >= n:
+            return None
+        if pc < k:
+            for j, x in row:
+                if j >= n:
+                    xs[j - n][pc] = x
+    return xs
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
@@ -450,10 +459,6 @@ class OperatorMatrix:
     domain: SliceBasis
     codomain: SliceBasis
     cols: Tuple[Row, ...]
-
-    def apply(self, vec: Row) -> Row:
-        """The image of a domain Row, as a codomain Row."""
-        return self.apply_all((vec,))[0]
 
     def apply_all(self, vecs: Sequence[Row]) -> List[Row]:
         """The images of domain Rows, as codomain Rows, computed on ints.
@@ -530,6 +535,27 @@ def quotient_representatives(ambient: SliceBasis, space_rows: Sequence[Row],
     if len(reps) != target:
         raise CompositionError("failed to complete a quotient transversal")
     return reps
+
+
+# A published transversal: one (dense vector, monomial-or-None) per class.
+PublishedReps = Tuple[Tuple[Tuple[Fraction, ...], Optional[Monomial]], ...]
+
+
+def publish_reps(basis: SliceBasis, reps) -> PublishedReps:
+    """The published form of a quotient_representatives transversal."""
+    return tuple((tuple(dense(v, len(basis))), m) for v, m in reps)
+
+
+def rep_rows(reps: PublishedReps) -> List[Row]:
+    """The Rows of a published transversal."""
+    return [sparse(v) for v, _ in reps]
+
+
+def rep_coordinates(reps: PublishedReps, relation_rows: Sequence[Row],
+                    vecs: Sequence[Row]) -> Optional[List[List[Fraction]]]:
+    """Class coordinates of vecs over a published transversal, modulo the
+    relation rows (quotient_coordinates)."""
+    return quotient_coordinates(rep_rows(reps), relation_rows, vecs)
 
 
 # -- stabilization over window ladders ------------------------------------

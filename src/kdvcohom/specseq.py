@@ -28,29 +28,27 @@ not number its dimension raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .algebra import Monomial
 from .linwin import (
-    F0,
     CompositionError,
     HomologyDims,
     OperatorMatrix,
+    PublishedReps,
     Row,
     SliceBasis,
     Window,
     added_pivots,
-    dense,
     intersect_with_coordinates,
     nullspace,
-    quotient_coordinates,
+    publish_reps,
     quotient_representatives,
     rank_of,
+    rep_coordinates,
+    rep_rows,
     rref,
-    sparse,
     transpose,
     window_reps,
 )
@@ -206,23 +204,16 @@ def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
 
 
 def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
-    """Basis rows of d(F^{p-r} in degree n-1) intersected with F^p."""
+    """Reduced basis rows of d(F^{p-r} in degree n-1) intersected with F^p."""
     if n not in fs.bases:
         return []
     d = fs.diffs.get(n - 1)
     if d is None:
         return []
-    inside = []   # generators from domain level >= p land in F^p outright
-    crossing = []
     lv_dom = fs.levels[n - 1]
-    for j, col in enumerate(d.cols):
-        if lv_dom[j] >= p - r and col:
-            (inside if lv_dom[j] >= p else crossing).append(col)
-    if crossing:
-        inside += intersect_with_coordinates(
-            crossing, set(fs.level_indices(n, p)))
-    red, _ = rref(inside)
-    return red
+    return intersect_with_coordinates(
+        [col for j, col in enumerate(d.cols) if lv_dom[j] >= p - r],
+        fs.level_indices(n, p))
 
 
 def _relation_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
@@ -243,7 +234,7 @@ class PageEntry:
     p: int
     q: int
     dim: int
-    reps: Tuple[Tuple[Tuple[Fraction, ...], Optional[Monomial]], ...]
+    reps: PublishedReps
     basis: Optional[SliceBasis]
     source: Optional[FilteredSlice] = field(default=None, repr=False, compare=False)
 
@@ -281,9 +272,7 @@ def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
         raise CompositionError(
             f"{len(reps)} representatives for a page of dimension {dim} "
             f"at r={r} (p,q)=({p},{q}) of {fs.label}")
-    size = len(basis)
-    return PageEntry(r, p, q, dim,
-                     tuple((tuple(dense(v, size)), m) for v, m in reps), basis, fs)
+    return PageEntry(r, p, q, dim, publish_reps(basis, reps), basis, fs)
 
 
 def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
@@ -297,20 +286,12 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     dst = page(fs, r, p + r, q - r + 1)
     if not src.dim:
         return src, dst, []
-    n = p + q
-    cols = []
-    d = fs.diffs.get(n)
-    reps = [sparse(v) for v, _ in dst.reps]
-    for vec, _ in src.reps:
-        w = d.apply(sparse(vec)) if d is not None else ()
-        if not w:
-            cols.append([F0] * dst.dim)
-            continue
-        x = quotient_coordinates(reps, dst.relation_rows, w)
-        if x is None:
-            raise CompositionError(
-                f"page image escapes the target at r={r} (p,q)=({p},{q})")
-        cols.append(x)
+    d = fs.diffs.get(p + q)
+    images = d.apply_all(rep_rows(src.reps)) if d is not None else [()] * src.dim
+    cols = rep_coordinates(dst.reps, dst.relation_rows, images)
+    if cols is None:
+        raise CompositionError(
+            f"page image escapes the target at r={r} (p,q)=({p},{q})")
     return src, dst, cols
 
 

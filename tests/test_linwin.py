@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvcohom import linwin
 from kdvcohom.algebra import Bidegree, DiffPoly, Monomial, partial, poly, theta, u_jet
 from kdvcohom.linwin import (
     CompositionError,
@@ -120,6 +121,20 @@ def test_enumerate_piece_matches_window_union():
 def test_piece_without_lambda():
     b = enumerate_piece_basis(Bidegree(1, 1), 2, include_lambda=False)
     assert set(m.format() for m in b.monomials) == {"u u1 t0", "u^2 t1"}
+
+
+def test_piece_basis_has_one_object_however_it_is_asked_for():
+    # a keyword, a default and a plain-tuple bidegree reach the same basis
+    assert enumerate_piece_basis(Bidegree(1, 1), 2, False) \
+        is enumerate_piece_basis(Bidegree(1, 1), 2, include_lambda=False)
+    assert enumerate_piece_basis(Bidegree(2, 3), 1) \
+        is enumerate_piece_basis(Bidegree(2, 3), 1, True)
+    assert enumerate_piece_basis((2, 3), 1, 1) is enumerate_piece_basis(Bidegree(2, 3), 1)
+
+
+def test_piece_basis_from_a_plain_tuple_keeps_its_bidegree_type():
+    enumerate_piece_basis((3, 4), 1, True)
+    assert type(enumerate_piece_basis(Bidegree(3, 4), 1, True).bidegree) is Bidegree
 
 
 # -- elimination --------------------------------------------------------------
@@ -275,13 +290,30 @@ def test_echelon_add_reduce_contains():
 def test_quotient_coordinates():
     reps = rows_of([[F(1), F(0), F(0)]])
     rels = rows_of([[F(0), F(1), F(1)]])
-    assert quotient_coordinates(reps, rels, sparse([F(2), F(3), F(3)])) == [F(2)]
-    assert quotient_coordinates(reps, rels, sparse([F(0), F(0), F(1)])) is None
+    assert quotient_coordinates(reps, rels, [sparse([F(2), F(3), F(3)])]) == [[F(2)]]
+    assert quotient_coordinates(reps, rels, [sparse([F(0), F(0), F(1)])]) is None
     # with no representatives the answer only says whether vec is a relation
-    assert quotient_coordinates([], rels, sparse([F(0), F(2), F(2)])) == []
-    assert quotient_coordinates([], rels, sparse([F(1), F(0), F(0)])) is None
-    assert quotient_coordinates([], [], sparse([F(0), F(0)])) == []
-    assert quotient_coordinates([], [], sparse([F(0), F(1)])) is None
+    assert quotient_coordinates([], rels, [sparse([F(0), F(2), F(2)])]) == [[]]
+    assert quotient_coordinates([], rels, [sparse([F(1), F(0), F(0)])]) is None
+    assert quotient_coordinates([], [], [sparse([F(0), F(0)])]) == [[]]
+    assert quotient_coordinates([], [], [sparse([F(0), F(1)])]) is None
+    # one escaping vector sinks the whole call
+    assert quotient_coordinates(reps, rels, [sparse([F(2), F(3), F(3)]),
+                                             sparse([F(0), F(0), F(1)])]) is None
+    # one column per vector, from one elimination
+    assert quotient_coordinates(reps, rels, [sparse([F(2), F(3), F(3)]), (),
+                                             sparse([F(-1, 2), F(1), F(1)])]) \
+        == [[F(2)], [F(0)], [F(-1, 2)]]
+
+
+def test_quotient_coordinates_of_no_vectors_eliminates_nothing(monkeypatch):
+    built = []
+    monkeypatch.setattr(linwin, "Echelon",
+                        lambda rows=(): built.append(rows) or Echelon(rows))
+    assert quotient_coordinates(rows_of([[F(1)]]), [], []) == []
+    assert not built
+    assert quotient_coordinates(rows_of([[F(1)]]), [], [sparse([F(3)])]) == [[F(3)]]
+    assert len(built) == 1
 
 
 # -- operator matrices ---------------------------------------------------------
@@ -336,7 +368,7 @@ def test_apply_to_vector_matches_operator():
     cod = enumerate_basis(Bidegree(2, 2), w)
     m = operator_matrix(d1_inline, dom, cod)
     a = poly("u u1 t0 + 2 l t1")
-    image = m.apply(dom.vector_of(a))
+    image = m.apply_all((dom.vector_of(a),))[0]
     assert cod.poly_of(dense(image, len(cod))) == d1_inline(a)
 
 
@@ -427,7 +459,7 @@ def test_composite_matches_fraction_reference(pair):
     got = second.apply_all(first.cols)
     assert got == want
     assert all(type(x) is Fraction and x for row in got for _, x in row)
-    assert [second.apply(col) for col in first.cols] == want
+    assert [second.apply_all((col,))[0] for col in first.cols] == want
 
 
 def test_composite_float_entry_raises_naming_its_column():

@@ -4,7 +4,8 @@ sympy shares no code with the package, so agreement on random small
 rational matrices pins every view of the Echelon kernel: the reduced form
 and its pivots, the rank, the canonical kernel basis, the exact remainder
 of a vector against a reduced basis, the particular solution with free
-variables set to zero, and the intersection of a row space with a
+variables set to zero, the unique class coordinates of many vectors at
+once, and the intersection of a row space with a
 coordinate subspace.  Entries mix Fractions and ints, small and wide, and
 every result must come back as Fractions.  Matrices are drawn dense, go in
 through sparse() and come back through dense().
@@ -13,7 +14,7 @@ through sparse() and come back through dense().
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kdvcohom.linwin import (
@@ -21,6 +22,7 @@ from kdvcohom.linwin import (
     in_span,
     intersect_with_coordinates,
     nullspace,
+    quotient_coordinates,
     rank_of,
     reduce_against,
     rref,
@@ -159,6 +161,44 @@ def test_solve_edge_cases_match_sympy(rows, b):
     assert solve_dense(rows, b) == want
     if want is not None:
         assert [sum((a * x for a, x in zip(row, want)), F(0)) for row in rows] == b
+
+
+def sympy_rank(rows):
+    return to_sympy(rows).rank() if rows else 0
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_quotient_coordinates_match_sympy(data):
+    n = data.draw(st.integers(1, 5))
+    st_vec = st.lists(st_entry, min_size=n, max_size=n)
+    relations = data.draw(st.lists(st_vec, max_size=3))
+    reps = data.draw(st.lists(st_vec, max_size=3))
+    # reps independent modulo the relations, so coordinates are unique
+    assume(sympy_rank(reps + relations) == len(reps) + sympy_rank(relations))
+    vecs, drawn = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            c = data.draw(st.lists(st_entry, min_size=len(reps), max_size=len(reps)))
+            e = data.draw(st.lists(st_entry, min_size=len(relations),
+                                   max_size=len(relations)))
+            vecs.append([sum((x * g[i] for x, g in zip(c + e, reps + relations)), F(0))
+                         for i in range(n)])
+            drawn.append([F(x) for x in c])
+        else:
+            vecs.append(data.draw(st_vec))
+            drawn.append(None)
+    # the matrix with the generators as columns, one row per coordinate
+    gens = [[g[i] for g in reps + relations] for i in range(n)]
+    want = [sympy_solution(gens, v) for v in vecs]
+    got = quotient_coordinates(rows_of(reps), rows_of(relations), rows_of(vecs))
+    if any(x is None for x in want):
+        assert got is None
+        return
+    want = [x[:len(reps)] for x in want]
+    assert got == want
+    assert all(type(x) is Fraction for col in got for x in col)
+    assert all(c is None or c == col for c, col in zip(drawn, got))
 
 
 @settings(max_examples=150)

@@ -6,6 +6,7 @@ dimensions and collapse indices are frozen from those hand computations.
 
 import pytest
 
+from kdvcohom import linwin, specseq
 from kdvcohom.algebra import mono, poly
 from kdvcohom.kdvpencil import d1_explicit, pencil_filtered_slice
 from kdvcohom.linwin import (
@@ -14,6 +15,7 @@ from kdvcohom.linwin import (
     Window,
     operator_matrix,
     quotient_representatives,
+    rank_of,
     rref,
     solve,
     sparse,
@@ -105,6 +107,36 @@ def test_validate_rejects_broken_filtration():
                        match="level drops along the differential at degree 0"):
         _slice([0, 1], {0: b0, 1: b1}, {0: [1], 1: [0]},
                {0: lambda a: poly("t1") * a.coeff(mono(u0=1))})
+
+
+def test_page_dr_matrix_makes_one_coordinate_elimination(monkeypatch):
+    from kdvcohom.algebra import Bidegree
+    from kdvcohom.kdvpencil import D1
+    b0 = _basis(Bidegree(0, 0), ["u", "u^2"])
+    b1 = _basis(Bidegree(1, 1), ["t1", "u t1"])
+    fs = _slice([0, 1], {0: b0, 1: b1}, {0: [0, 0], 1: [1, 1]}, {0: D1})
+    # the entries come ready, relations read, so that only the coordinate
+    # solve of page_dr_matrix itself builds an Echelon
+    entries = {key: page(fs, *key) for key in ((1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 2, -1))}
+    for entry in entries.values():
+        entry.relation_rows
+    monkeypatch.setattr(specseq, "page", lambda fs, r, p, q: entries[r, p, q])
+    built = []
+
+    class CountingEchelon(linwin.Echelon):
+        def __init__(self, rows=()):
+            built.append(1)
+            super().__init__(rows)
+
+    monkeypatch.setattr(linwin, "Echelon", CountingEchelon)
+    src, dst, cols = page_dr_matrix(fs, 1, 0, 0)
+    assert (src.dim, dst.dim) == (2, 2)
+    assert cols == [[1, 0], [0, 2]]
+    assert len(built) == 1
+    # page two is zero at (0, 0): an empty class matrix, no elimination
+    src, _, cols = page_dr_matrix(fs, 2, 0, 0)
+    assert (src.dim, cols) == (0, [])
+    assert len(built) == 1
 
 
 # -- pencil pieces ----------------------------------------------------------------
@@ -223,6 +255,27 @@ def test_pairing_dims_match_the_spans_below_a_truncation(k):
                 for p in range(fs.min_level(), fs.max_level() + 1):
                     assert page(fs, r, p, n - p).dim == _span_dim(fs, r, p, n), \
                         (c, r, p, n)
+
+
+@pytest.mark.parametrize("k,c", UNTRUNCATED)
+def test_b_rows_is_the_filtered_image(k, c):
+    # B_{r-1}(p) from its definition: the images of the columns at domain
+    # level >= p - r, kept where they vanish below level p
+    fs = pencil_filtered_slice(k, c)
+    for n in fs.degrees:
+        d = fs.diffs.get(n - 1)
+        if d is None:
+            continue
+        lv_dom, lv = fs.levels[n - 1], fs.levels[n]
+        for r in range(fs.span_bound() + 2):
+            for p in range(fs.min_level(), fs.max_level() + 1):
+                got = b_rows(fs, r, p, n)
+                cols = [col for j, col in enumerate(d.cols) if lv_dom[j] >= p - r]
+                low = [tuple((i, x) for i, x in col if lv[i] < p) for col in cols]
+                assert rref(got)[0] == got, (r, p, n)
+                assert all(lv[i] >= p for row in got for i, _ in row), (r, p, n)
+                assert rank_of(cols + got) == rank_of(cols), (r, p, n)
+                assert len(got) == rank_of(cols) - rank_of(low), (r, p, n)
 
 
 @pytest.mark.parametrize("k,c", UNTRUNCATED[::2])
