@@ -8,6 +8,7 @@ import pytest
 
 from kdvcohom import linwin, specseq
 from kdvcohom.algebra import mono, poly
+from kdvcohom.cohomeng import class_coords
 from kdvcohom.kdvpencil import d1_explicit, pencil_filtered_slice
 from kdvcohom.linwin import (
     CompositionError,
@@ -176,6 +177,8 @@ def test_pencil_piece_k1_d1_matches_explicit_formula():
     coords = solve(full_gens, target)
     assert coords is not None
     assert coords[0] == cols[0][0]
+    # the same coordinate through the class reader of a page entry
+    assert class_coords(dst, img) == [cols[0][0]]
 
     assert collapse_at(fs) == 2
     assert [homology_at(fs, n).homology for n in fs.degrees] == [0, 0, 0, 0]
