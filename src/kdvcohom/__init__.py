@@ -64,7 +64,6 @@ from .specseq import (
     collapse_at,
     converge_check,
     homology_at,
-    limit_page,
     page,
     page_dr_matrix,
 )
@@ -101,7 +100,7 @@ __all__ = [
     "d0_explicit", "d1_explicit", "d_lambda", "e1_basis", "filtration_level",
     "h_op", "pencil_filtered_slice", "subcomplex_bidegrees",
     "FilteredSlice", "collapse_at", "converge_check", "homology_at",
-    "limit_page", "page", "page_dr_matrix",
+    "page", "page_dr_matrix",
     "EXCEPTIONAL_BIDEGREES", "ExceptionalBidegreeError", "KINDS",
     "class_coords", "compare_bh_vs_lambda", "dims_table", "les_rank_audit",
     "piece_homology", "stabilized", "windowed_dim",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .acceptance import (
     ALL_CHECKS,
@@ -25,10 +25,23 @@ from .acceptance import (
     windowed_page_counts,
 )
 from .algebra import Bidegree, format_poly
-from .cohomeng import KINDS, dims_table, p_bound, piece_count_range, piece_homology
-from .linwin import DEFAULT_LADDER, Window, window_reps
+from .cohomeng import (
+    KINDS,
+    _LAMBDA_KINDS,
+    dims_table,
+    p_bound,
+    piece_count_range,
+    piece_homology,
+)
+from .linwin import DEFAULT_LADDER, Window, piece_sizes_total, window_reps
 
 _SCHEMA = 1
+
+# verify and bh refuse a run whose pieces hold more monomials than this.
+# The largest size that the defaults, the acceptance battery, the demos
+# and the benchmark reach is 29298 (all six bh kinds to degree 5 at window
+# 5:4); bh --kind bh_F near the budget runs for minutes, not hours.
+_COST_BUDGET = 100_000
 
 
 def _parse_window(text: str) -> Window:
@@ -67,6 +80,26 @@ def _windowed_reps(kind: str, p: int, d: int, w: Window) -> List[str]:
             text = m.format() if m is not None else format_poly(ph.basis.poly_of(vec))
             out.append(text or "1")
     return out
+
+
+def _refuse_costly(parser, max_d: int,
+                   families: Callable[[int], Sequence[Tuple[int, bool]]]) -> None:
+    """Exit 2, before any matrix is built, when a run exceeds the budget.
+
+    The cost is the total basis size of the pieces at every (p, d) with
+    d <= max_d; families(d) lists the largest count and the parameter flag
+    of each piece family at standard degree d.  Degrees are summed upwards
+    and the count stops at the first one that passes the budget, so even a
+    huge --max-d is refused at once.
+    """
+    cost = 0
+    for d in range(max_d + 1):
+        cost += sum(piece_sizes_total(Bidegree(p, d), top, lam)
+                    for top, lam in families(d) for p in range(p_bound(d) + 1))
+        if cost > _COST_BUDGET:
+            parser.error(f"the pieces up to --max-d {max_d} hold at least {cost} "
+                         f"monomials, above the budget of {_COST_BUDGET}; lower "
+                         f"--max-d or the window")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,6 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args, parser) -> Tuple[dict, bool, str]:
     if args.max_d < 0:
         parser.error("--max-d must be at least 0")
+    w = args.window
+    # the monomial battery enumerates every piece of counts up to N + L + d
+    _refuse_costly(parser, args.max_d, lambda d: ((w.N + w.L + d, True),))
     names = tuple(dict.fromkeys(args.suite)) if args.suite else VERIFY_SUITES
     results = [run_verify_suite(nm, max_d=args.max_d, window=args.window)
                for nm in names]
@@ -186,6 +222,8 @@ def _cmd_bh(args, parser) -> Tuple[dict, bool, str]:
                          f"super degree {p} and standard degree {d}")
     kinds = tuple(dict.fromkeys(args.kind)) if args.kind else ("bh_A", "bh_F")
     w = args.window
+    _refuse_costly(parser, args.max_d, lambda d: tuple(
+        (piece_count_range(kind, d, w)[-1], kind in _LAMBDA_KINDS) for kind in kinds))
     wanted = set(map(tuple, args.bidegree)) if args.bidegree else None
     tables = {}
     lines = []

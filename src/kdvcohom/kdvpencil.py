@@ -254,33 +254,65 @@ def h_op(x: DiffPoly, p: int, q: int) -> DiffPoly:
 # -- piece matrices and the filtered complex ---------------------------------
 
 
-_PIECE_CACHE: Dict[Tuple[str, int, int, int, bool], OperatorMatrix] = {}
+_PIECE_CACHE: Dict[Tuple[str, int, int, int], OperatorMatrix] = {}
 
 
-def _op_piece_matrix(op: OperatorSpec, key: str, bd: Bidegree, c: int,
-                     c_out: int, include_lambda: bool) -> OperatorMatrix:
-    cache_key = (key, bd.p, bd.d, c, include_lambda)
-    if cache_key not in _PIECE_CACHE:
+def _op_piece_matrix(op: OperatorSpec, bd: Bidegree, c: int, c_out: int) -> OperatorMatrix:
+    """Matrix of d1 or d2 on the parameter-free piece, cached by op name."""
+    key = (op.name, bd.p, bd.d, c)
+    if key not in _PIECE_CACHE:
         up = Bidegree(bd.p + 1, bd.d + 1)
-        _PIECE_CACHE[cache_key] = operator_matrix(
-            op, enumerate_piece_basis(bd, c, include_lambda),
-            enumerate_piece_basis(up, c_out, include_lambda))
-    return _PIECE_CACHE[cache_key]
+        _PIECE_CACHE[key] = operator_matrix(
+            op, enumerate_piece_basis(bd, c, False),
+            enumerate_piece_basis(up, c_out, False))
+    return _PIECE_CACHE[key]
 
 
 def dlambda_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
-    """Pencil differential on the even-count piece (preserves the count)."""
-    return _op_piece_matrix(DLAMBDA, "dlambda", Bidegree(p, d), c, c, True)
+    """Pencil differential on the even-count piece (preserves the count).
+
+    The parameter l is even, central and constant, so the piece is the
+    direct sum over a of l^a times the parameter-free piece of count c - a,
+    and the pencil sends l^a m to l^a d2(m) - l^(a+1) d1(m).  Each column is
+    therefore a column of the cached d2 block of count c - a and the negated
+    column of the d1 block, moved into the codomain through one index map
+    per l-power.  No monomial is differentiated here: each block rejects its
+    own codomain overflow, and every shifted block codomain lies inside the
+    piece codomain.
+    """
+    key = ("dlambda", p, d, c)
+    if key not in _PIECE_CACHE:
+        up = Bidegree(p + 1, d + 1)
+        domain = enumerate_piece_basis(Bidegree(p, d), c, True)
+        codomain = enumerate_piece_basis(up, c, True)
+        # codomain index of l^a n for each n of the parameter-free piece c - a
+        lifts = [tuple(codomain.index_of(n._replace(lam=a))
+                       for n in enumerate_piece_basis(up, c - a, False).monomials)
+                 for a in range(c + 2)]
+        blocks = [(d2_piece_matrix(p, d, c - a), d1_piece_matrix(p, d, c - a))
+                  for a in range(c + 1)]
+        cols = []
+        for m in domain.monomials:
+            a = m.lam
+            d2, d1 = blocks[a]
+            j = d2.domain.index_of(m._replace(lam=0))
+            shift2, shift1 = lifts[a], lifts[a + 1]
+            col = [(shift2[i], x) for i, x in d2.cols[j]]
+            col += [(shift1[i], -x) for i, x in d1.cols[j]]
+            col.sort()
+            cols.append(tuple(col))
+        _PIECE_CACHE[key] = OperatorMatrix(domain, codomain, tuple(cols))
+    return _PIECE_CACHE[key]
 
 
 def d1_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
     """First structure on the parameter-free piece; lowers the count."""
-    return _op_piece_matrix(D1, "d1", Bidegree(p, d), c, c - 1, False)
+    return _op_piece_matrix(D1, Bidegree(p, d), c, c - 1)
 
 
 def d2_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
     """Second structure on the parameter-free piece; preserves the count."""
-    return _op_piece_matrix(D2, "d2", Bidegree(p, d), c, c, False)
+    return _op_piece_matrix(D2, Bidegree(p, d), c, c)
 
 
 @lru_cache(maxsize=None)

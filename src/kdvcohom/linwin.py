@@ -214,6 +214,25 @@ def _piece_basis(bd: Bidegree, ucount: int, include_lambda: bool) -> SliceBasis:
     return SliceBasis(bd, None, tuple(sorted(monos)), label)
 
 
+def piece_sizes_total(bd: Bidegree, top: int, include_lambda: bool = True) -> int:
+    """Total basis size of the pieces of bd with counts 0..top.
+
+    Counted as _piece_basis enumerates, with no monomial built: odd orders
+    and jets of multiplicity j give one monomial for each count c >= j, or
+    c - j + 1 of them (the splits of the rest into u and l powers) with l.
+    """
+    p, d = bd
+    if p < 0 or d < 0:
+        return 0
+    total = 0
+    for odd in _odd_sets(p, d):
+        for even in _partitions(d - sum(odd)):
+            t = top - sum(e for _, e in even)
+            if t >= 0:
+                total += (t + 1) * (t + 2) // 2 if include_lambda else t + 1
+    return total
+
+
 # -- exact elimination ----------------------------------------------------
 
 

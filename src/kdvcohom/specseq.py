@@ -295,25 +295,14 @@ def page_dr_matrix(fs: FilteredSlice, r: int, p: int, q: int):
     return src, dst, cols
 
 
-def _gaps(fs: FilteredSlice) -> List[int]:
-    """The gap of every pair of a slice that stays inside itself."""
-    fs.require_inside(fs.degrees)
-    return [g for gs in fs._pairing.values() for g in gs if g is not None]
-
-
-def dr_is_zero(fs: FilteredSlice, r: int) -> bool:
-    """Whether the page-r differential vanishes everywhere: no pair has gap r."""
-    return r not in _gaps(fs)
-
-
 def collapse_at(fs: FilteredSlice) -> int:
-    """Smallest r such that every page differential from r on vanishes."""
-    return 1 + max(_gaps(fs), default=-1)
+    """Smallest r such that every page differential from r on vanishes.
 
-
-def limit_page(fs: FilteredSlice, p: int, q: int) -> PageEntry:
-    """The stable entry: pages stop moving beyond the span bound."""
-    return page(fs, fs.span_bound() + 1, p, q)
+    d_r is nonzero exactly where a pair of the slice has gap r.
+    """
+    fs.require_inside(fs.degrees)
+    return 1 + max((g for gs in fs._pairing.values() for g in gs if g is not None),
+                   default=-1)
 
 
 def homology_at(fs: FilteredSlice, n: int) -> HomologyDims:

@@ -1,8 +1,13 @@
 import json
+import re
+import time
 
 import pytest
 
-from kdvcohom.cli import main
+from kdvcohom.algebra import Bidegree
+from kdvcohom.cli import _COST_BUDGET, main
+from kdvcohom.cohomeng import KINDS, p_bound, piece_count_range
+from kdvcohom.linwin import Window, piece_sizes_total
 
 
 def run(capsys, *argv):
@@ -164,3 +169,38 @@ def test_repeated_selections_report_once(capsys, fmt, repeated, once):
     rc2, out2 = run(capsys, "--format", fmt, *once)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bh", "--kind", "bh_F", "--max-d", "40", "--window", "3:2"],
+    ["verify", "--max-d", "40"],
+])
+def test_oversized_runs_are_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    estimate = re.search(r"hold at least (\d+) monomials, above the budget of (\d+)",
+                         lines[-1])
+    assert estimate, lines[-1]
+    assert int(estimate.group(1)) > int(estimate.group(2)) == _COST_BUDGET
+
+
+def test_default_runs_pass_the_cost_guard(capsys):
+    rc, out = run(capsys, "verify")
+    assert rc == 0 and out.rstrip().endswith("OK")
+    rc, out = run(capsys, "bh")
+    assert rc == 0 and out.startswith("bh_A window (3,2) degrees <= 5")
+
+
+def test_cost_budget_clears_the_largest_shipped_size():
+    # every table kind to degree 5 at the widest window of the default
+    # ladder, as the acceptance battery computes them
+    w = Window(5, 4)
+    cost = sum(piece_sizes_total(Bidegree(p, d), piece_count_range(kind, d, w)[-1],
+                                 kind.startswith("dlambda"))
+               for kind in KINDS for d in range(6) for p in range(p_bound(d) + 1))
+    assert cost == 29298
+    assert 3 * cost < _COST_BUDGET

@@ -31,7 +31,8 @@ from kdvcohom.kdvpencil import (
     subcomplex_bidegrees,
     u_weight,
 )
-from kdvcohom.linwin import Window
+from kdvcohom import kdvpencil, varcalc
+from kdvcohom.linwin import Window, enumerate_piece_basis, operator_matrix
 from kdvcohom.specseq import homology_at
 
 from test_algebra import st_poly
@@ -229,6 +230,42 @@ def test_pencil_slice_degrees_share_one_basis():
         mat = dlambda_piece_matrix(p, d, c)
         assert piece_homology("dlambda_A", p, d, c).basis is mat.domain, (p, d, c)
         assert d1_piece_matrix(p, d, c).domain is d2_piece_matrix(p, d, c).domain
+
+
+def test_pencil_blocks_match_the_derivation():
+    # the reference applies the pencil to every monomial, with no blocks
+    pieces = 0
+    for k in range(-1, 7):
+        for bd in subcomplex_bidegrees(k):
+            if bd.d > 7:
+                continue
+            for c in range(10):
+                mat = dlambda_piece_matrix(bd.p, bd.d, c)
+                up = Bidegree(bd.p + 1, bd.d + 1)
+                want = operator_matrix(DLAMBDA, enumerate_piece_basis(bd, c),
+                                       enumerate_piece_basis(up, c))
+                assert mat.domain is want.domain and mat.codomain is want.codomain
+                assert mat.cols == want.cols, (bd, c)
+                assert repr(mat.cols) == repr(want.cols), (bd, c)
+                pieces += 1
+    assert pieces == 290
+
+
+def test_pencil_slice_applies_no_pencil_to_monomials(monkeypatch):
+    applied = {}
+    apply_op = varcalc.apply_op
+
+    def counting(op, a):
+        applied[op.name] = applied.get(op.name, 0) + 1
+        return apply_op(op, a)
+
+    monkeypatch.setattr(varcalc, "apply_op", counting)
+    monkeypatch.setattr(kdvpencil, "_PIECE_CACHE", {})
+    fs = pencil_filtered_slice.__wrapped__(2, 6)
+    assert DLAMBDA.name not in applied
+    assert applied["d1"] > 0 and applied["d2"] > 0
+    assert [tuple(homology_at(fs, n)) for n in fs.degrees] == [
+        tuple(homology_at(pencil_filtered_slice(2, 6), n)) for n in fs.degrees]
 
 
 def test_pencil_filtered_slice_levels():

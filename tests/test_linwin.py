@@ -34,6 +34,7 @@ from kdvcohom.linwin import (
     intersect_with_coordinates,
     nullspace,
     operator_matrix,
+    piece_sizes_total,
     quotient_representatives,
     rank_of,
     rref,
@@ -135,6 +136,17 @@ def test_piece_basis_has_one_object_however_it_is_asked_for():
 def test_piece_basis_from_a_plain_tuple_keeps_its_bidegree_type():
     enumerate_piece_basis((3, 4), 1, True)
     assert type(enumerate_piece_basis(Bidegree(3, 4), 1, True).bidegree) is Bidegree
+
+
+def test_piece_sizes_total_counts_the_enumerated_bases():
+    for p in range(-1, 5):
+        for d in range(-1, 8):
+            for top in range(-1, 6):
+                for lam in (True, False):
+                    want = sum(len(enumerate_piece_basis(Bidegree(p, d), c, lam))
+                               for c in range(top + 1))
+                    assert piece_sizes_total(Bidegree(p, d), top, lam) == want, \
+                        (p, d, top, lam)
 
 
 # -- elimination --------------------------------------------------------------

@@ -26,9 +26,7 @@ from kdvcohom.specseq import (
     b_rows,
     collapse_at,
     converge_check,
-    dr_is_zero,
     homology_at,
-    limit_page,
     page,
     page_dr_matrix,
     z_rows,
@@ -71,7 +69,6 @@ def test_identity_differential_collapses_at_one():
     fs = _slice([0, 1], {0: b0, 1: b1}, {0: [0], 1: [0]},
                 {0: lambda a: a})
     fs.validate()
-    assert not dr_is_zero(fs, 0)
     assert collapse_at(fs) == 1
     assert page(fs, 1, 0, 0).dim == 0
     assert page(fs, 1, 0, 1).dim == 0
@@ -87,16 +84,12 @@ def test_level_raising_differential_collapses_at_two():
     fs = _slice([0, 1], {0: b0, 1: b1}, {0: [0], 1: [1]},
                 {0: D1})
     fs.validate()
-    assert dr_is_zero(fs, 0)
     assert page(fs, 1, 0, 0).dim == 1
     assert page(fs, 1, 1, 0).dim == 1
     src, dst, cols = page_dr_matrix(fs, 1, 0, 0)
     assert (src.dim, dst.dim) == (1, 1)
     assert cols[0] and cols[0][0] != 0
-    assert not dr_is_zero(fs, 1)
     assert collapse_at(fs) == 2
-    assert limit_page(fs, 0, 0).dim == 0
-    assert limit_page(fs, 1, 0).dim == 0
     assert all(ok for _, _, ok in converge_check(fs).values())
 
 
@@ -284,8 +277,6 @@ def test_b_rows_is_the_filtered_image(k, c):
 @pytest.mark.parametrize("k,c", UNTRUNCATED[::2])
 def test_collapse_matches_the_differential_scan(k, c):
     fs = pencil_filtered_slice(k, c)
-    for r in range(fs.span_bound() + 1):
-        assert dr_is_zero(fs, r) == _scan_dr_is_zero(fs, r), r
     assert collapse_at(fs) == _scan_collapse_at(fs)
 
 
@@ -295,7 +286,7 @@ def test_truncation_boundary_pages_raise():
     assert fs.leaves_slice(top)
     with pytest.raises(ValueError, match="truncation boundary"):
         page(fs, 1, fs.max_level(), top - fs.max_level())
-    for whole_slice in (collapse_at, converge_check, lambda fs: dr_is_zero(fs, 1)):
+    for whole_slice in (collapse_at, converge_check):
         with pytest.raises(ValueError, match="truncation boundary"):
             whole_slice(fs)
     # one degree down every page is still available
