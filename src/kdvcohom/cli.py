@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .acceptance import (
     ALL_CHECKS,
@@ -28,10 +28,11 @@ from .algebra import Bidegree, format_poly
 from .cohomeng import (
     KINDS,
     _LAMBDA_KINDS,
-    dims_table,
     p_bound,
     piece_count_range,
     piece_homology,
+    spots_up_to,
+    windowed_dim,
 )
 from .linwin import DEFAULT_LADDER, Window, piece_sizes_total, window_reps
 
@@ -82,24 +83,25 @@ def _windowed_reps(kind: str, p: int, d: int, w: Window) -> List[str]:
     return out
 
 
-def _refuse_costly(parser, max_d: int,
-                   families: Callable[[int], Sequence[Tuple[int, bool]]]) -> None:
-    """Exit 2, before any matrix is built, when a run exceeds the budget.
+def _affordable(parser, max_d: int, spots: Iterable[Bidegree],
+                families: Callable[[int], Sequence[Tuple[int, bool]]]) -> List[Bidegree]:
+    """The spots (all of degree <= max_d) as a list; exit 2, before any
+    matrix is built, when their pieces hold more monomials than the budget.
 
-    The cost is the total basis size of the pieces at every (p, d) with
-    d <= max_d; families(d) lists the largest count and the parameter flag
-    of each piece family at standard degree d.  Degrees are summed upwards
-    and the count stops at the first one that passes the budget, so even a
-    huge --max-d is refused at once.
+    families(d) lists the largest count and the parameter flag of each piece
+    family at standard degree d.  The count stops at the first spot past the
+    budget, so the spots of a huge --max-d, by increasing degree, stop at once.
     """
+    out = []
     cost = 0
-    for d in range(max_d + 1):
-        cost += sum(piece_sizes_total(Bidegree(p, d), top, lam)
-                    for top, lam in families(d) for p in range(p_bound(d) + 1))
+    for bd in spots:
+        cost += sum(piece_sizes_total(bd, top, lam) for top, lam in families(bd.d))
         if cost > _COST_BUDGET:
-            parser.error(f"the pieces up to --max-d {max_d} hold at least {cost} "
-                         f"monomials, above the budget of {_COST_BUDGET}; lower "
-                         f"--max-d or the window")
+            parser.error(f"the requested pieces up to --max-d {max_d} hold at least "
+                         f"{cost} monomials, above the budget of {_COST_BUDGET}; "
+                         f"lower --max-d or the window")
+        out.append(bd)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +163,8 @@ def _cmd_verify(args, parser) -> Tuple[dict, bool, str]:
         parser.error("--max-d must be at least 0")
     w = args.window
     # the monomial battery enumerates every piece of counts up to N + L + d
-    _refuse_costly(parser, args.max_d, lambda d: ((w.N + w.L + d, True),))
+    _affordable(parser, args.max_d, spots_up_to(args.max_d),
+                lambda d: ((w.N + w.L + d, True),))
     names = tuple(dict.fromkeys(args.suite)) if args.suite else VERIFY_SUITES
     results = [run_verify_suite(nm, max_d=args.max_d, window=args.window)
                for nm in names]
@@ -222,16 +225,16 @@ def _cmd_bh(args, parser) -> Tuple[dict, bool, str]:
                          f"super degree {p} and standard degree {d}")
     kinds = tuple(dict.fromkeys(args.kind)) if args.kind else ("bh_A", "bh_F")
     w = args.window
-    _refuse_costly(parser, args.max_d, lambda d: tuple(
-        (piece_count_range(kind, d, w)[-1], kind in _LAMBDA_KINDS) for kind in kinds))
-    wanted = set(map(tuple, args.bidegree)) if args.bidegree else None
+    # a spot named twice is computed and reported once
+    spots = _affordable(
+        parser, args.max_d,
+        sorted(set(args.bidegree)) if args.bidegree else spots_up_to(args.max_d),
+        lambda d: tuple((piece_count_range(kind, d, w)[-1], kind in _LAMBDA_KINDS)
+                        for kind in kinds))
     tables = {}
     lines = []
     for kind in kinds:
-        table = dims_table(kind, w, args.max_d)
-        if wanted is not None:
-            table = {bd: dim for bd, dim in table.items() if tuple(bd) in wanted}
-        tables[kind] = table
+        table = tables[kind] = {bd: windowed_dim(kind, bd.p, bd.d, w) for bd in spots}
         lines.append(f"{kind} window ({w.N},{w.L}) degrees <= {args.max_d}")
         shown = 0
         for bd in sorted(table):

@@ -38,6 +38,7 @@ from .linwin import (
     Window,
     _partitions,
     enumerate_piece_basis,
+    lambda_lift,
     operator_matrix,
 )
 from .specseq import FilteredSlice
@@ -271,37 +272,16 @@ def _op_piece_matrix(op: OperatorSpec, bd: Bidegree, c: int, c_out: int) -> Oper
 def dlambda_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
     """Pencil differential on the even-count piece (preserves the count).
 
-    The parameter l is even, central and constant, so the piece is the
-    direct sum over a of l^a times the parameter-free piece of count c - a,
-    and the pencil sends l^a m to l^a d2(m) - l^(a+1) d1(m).  Each column is
-    therefore a column of the cached d2 block of count c - a and the negated
-    column of the d1 block, moved into the codomain through one index map
-    per l-power.  No monomial is differentiated here: each block rejects its
-    own codomain overflow, and every shifted block codomain lies inside the
-    piece codomain.
+    The pencil sends l^a m to l^a d2(m) - l^(a+1) d1(m), so its matrix is
+    the lambda_lift of the cached d2 block of count c - a into l^a and the
+    negated d1 block into l^(a+1).  No monomial is differentiated here, and
+    each block rejects its own codomain overflow.
     """
     key = ("dlambda", p, d, c)
     if key not in _PIECE_CACHE:
-        up = Bidegree(p + 1, d + 1)
-        domain = enumerate_piece_basis(Bidegree(p, d), c, True)
-        codomain = enumerate_piece_basis(up, c, True)
-        # codomain index of l^a n for each n of the parameter-free piece c - a
-        lifts = [tuple(codomain.index_of(n._replace(lam=a))
-                       for n in enumerate_piece_basis(up, c - a, False).monomials)
-                 for a in range(c + 2)]
-        blocks = [(d2_piece_matrix(p, d, c - a), d1_piece_matrix(p, d, c - a))
-                  for a in range(c + 1)]
-        cols = []
-        for m in domain.monomials:
-            a = m.lam
-            d2, d1 = blocks[a]
-            j = d2.domain.index_of(m._replace(lam=0))
-            shift2, shift1 = lifts[a], lifts[a + 1]
-            col = [(shift2[i], x) for i, x in d2.cols[j]]
-            col += [(shift1[i], -x) for i, x in d1.cols[j]]
-            col.sort()
-            cols.append(tuple(col))
-        _PIECE_CACHE[key] = OperatorMatrix(domain, codomain, tuple(cols))
+        _PIECE_CACHE[key] = lambda_lift(Bidegree(p, d), Bidegree(p + 1, d + 1), c, [
+            ((d2_piece_matrix(p, d, c - a), a, 1), (d1_piece_matrix(p, d, c - a), a + 1, -1))
+            for a in range(c + 1)])
     return _PIECE_CACHE[key]
 
 

@@ -164,22 +164,6 @@ def _odd_sets(p: int, d: int):
             yield comb
 
 
-def enumerate_basis(bd: Bidegree, w: Window, include_lambda: bool = True) -> SliceBasis:
-    """All monomials of bidegree bd with u-power <= N and l-power <= L."""
-    p, d = bd
-    if p < 0 or d < 0:
-        return SliceBasis(bd, w, ())
-    monos = []
-    lmax = w.L if include_lambda else 0
-    for odd in _odd_sets(p, d):
-        rest = d - sum(odd)
-        for even in _partitions(rest):
-            for u0 in range(w.N + 1):
-                for lam in range(lmax + 1):
-                    monos.append(Monomial(lam, u0, even, odd))
-    return SliceBasis(bd, w, tuple(sorted(monos)))
-
-
 def enumerate_piece_basis(bd: Bidegree, ucount: int, include_lambda: bool = True) -> SliceBasis:
     """All monomials of bidegree bd with a fixed even-factor count.
 
@@ -511,6 +495,39 @@ def operator_matrix(op: Callable[[DiffPoly], DiffPoly], domain: SliceBasis,
     """Assemble the matrix of op on a slice; rejects codomain overflow."""
     return OperatorMatrix(domain, codomain, tuple(
         codomain.vector_of(op(DiffPoly.monomial(m))) for m in domain.monomials))
+
+
+def lambda_lift(bd: Bidegree, up: Bidegree, c: int,
+                blocks: Sequence[Sequence[Tuple[OperatorMatrix, int, int]]]) -> OperatorMatrix:
+    """A matrix from the piece (bd, c) to (up, c), laid out of l-free blocks.
+
+    l is even, central and constant, so the piece (bd, c) is the sum over a
+    of l^a times the parameter-free piece (bd, c - a), and l sorts first,
+    so these blocks lie end to end in the basis, each in its own order.
+    blocks[a] lists (matrix, s, sign) triples in increasing s: the matrix
+    maps (bd, c - a) to (up, c - s), and its images times sign land in the
+    l^s block of (up, c), after the blocks l^b, b < s.  A column is its
+    blocks' columns shifted by their offsets and joined, with no monomial
+    looked up.  Block sizes that miss the piece sizes raise CompositionError.
+    """
+    domain = enumerate_piece_basis(bd, c, True)
+    codomain = enumerate_piece_basis(up, c, True)
+    sizes = {s: len(mat.codomain) for triples in blocks for mat, s, _ in triples}
+    offsets = list(itertools.accumulate(
+        (sizes.get(s, 0) for s in range(max(sizes, default=0) + 1)), initial=0))
+    cols = []
+    for triples in blocks:
+        parts = [(mat.cols, offsets[s], sign > 0) for mat, s, sign in triples]
+        for j in range(len(triples[0][0].domain)):
+            col = []
+            for mcols, off, plus in parts:
+                col += [(i + off, x if plus else -x) for i, x in mcols[j]]
+            cols.append(tuple(col))
+    if len(cols) != len(domain) or offsets[-1] != len(codomain):
+        raise CompositionError(
+            f"l-free blocks of sizes {len(cols)} -> {offsets[-1]} do not make "
+            f"the pieces {tuple(bd)} -> {tuple(up)} c={c}")
+    return OperatorMatrix(domain, codomain, tuple(cols))
 
 
 # -- homology -------------------------------------------------------------

@@ -22,7 +22,8 @@ from .algebra import (
     integer_image,
     monomial_partials,
 )
-from .linwin import F0, enumerate_piece_basis, operator_matrix, solve
+from .linwin import (F0, OperatorMatrix, enumerate_piece_basis, lambda_lift,
+                     operator_matrix, solve)
 
 
 def _euler(a: DiffPoly, kind: str) -> DiffPoly:
@@ -138,15 +139,28 @@ def _components(a: DiffPoly) -> Dict[Tuple[int, int, int], DiffPoly]:
     return {key: DiffPoly(terms) for key, terms in groups.items()}
 
 
-_DTOT_PIECE: Dict[Tuple[int, int, int], object] = {}
+# the one store of total-derivative piece matrices
+_DTOT_PIECE: Dict[Tuple[int, int, int, bool], OperatorMatrix] = {}
 
 
-def _dtot_piece_matrix(p: int, d: int, c: int):
-    key = (p, d, c)
+def dtot_piece_matrix(p: int, d: int, c: int, include_lambda: bool) -> OperatorMatrix:
+    """The total derivative from the piece (p, d - 1) of count c to (p, d).
+
+    dtot is constant on the parameter, so on pieces with l the matrix is
+    the lambda_lift of the parameter-free blocks of counts c - a, each into
+    l^a; only parameter-free monomials are differentiated.  Empty pieces
+    give an empty matrix.
+    """
+    key = (p, d, c, include_lambda)
     if key not in _DTOT_PIECE:
-        dom = enumerate_piece_basis(Bidegree(p, d - 1), c, True)
-        cod = enumerate_piece_basis(Bidegree(p, d), c, True)
-        _DTOT_PIECE[key] = operator_matrix(dtot, dom, cod)
+        bd, up = Bidegree(p, d - 1), Bidegree(p, d)
+        if include_lambda:
+            mat = lambda_lift(bd, up, c, [((dtot_piece_matrix(p, d, c - a, False), a, 1),)
+                                          for a in range(c + 1)])
+        else:
+            mat = operator_matrix(dtot, enumerate_piece_basis(bd, c, False),
+                                  enumerate_piece_basis(up, c, False))
+        _DTOT_PIECE[key] = mat
     return _DTOT_PIECE[key]
 
 
@@ -158,10 +172,7 @@ def dtot_preimage(a: DiffPoly) -> Optional[DiffPoly]:
     """
     out = ZERO
     for (p, d, c), comp in _components(a).items():
-        if d == 0:
-            # the total derivative raises the standard degree
-            return None
-        mat = _dtot_piece_matrix(p, d, c)
+        mat = dtot_piece_matrix(p, d, c, True)
         x = solve(mat.cols, mat.codomain.vector_of(comp))
         if x is None:
             return None

@@ -6,7 +6,7 @@ import pytest
 
 from kdvcohom.algebra import Bidegree
 from kdvcohom.cli import _COST_BUDGET, main
-from kdvcohom.cohomeng import KINDS, p_bound, piece_count_range
+from kdvcohom.cohomeng import KINDS, p_bound, piece_count_range, piece_homology
 from kdvcohom.linwin import Window, piece_sizes_total
 
 
@@ -106,6 +106,14 @@ def test_bh_json_and_bidegree_filter(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["tables"] == {"bh_F": {"1,1": 3}}
+
+
+def test_bh_bidegree_computes_only_its_spots(capsys):
+    # (0,0) at window 3:2 has the four counts 0..3, whatever --max-d is
+    piece_homology.cache_clear()
+    rc, out = run(capsys, "bh", "--kind", "bh_F", "--max-d", "8", "--bidegree", "0,0")
+    assert rc == 0 and "(0,0) dim 1: 1" in out
+    assert piece_homology.cache_info().misses == 4
 
 
 def test_acceptance_single_check(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvcohom import cohomeng, varcalc
 from kdvcohom.algebra import Bidegree, mono, poly
 from kdvcohom.cohomeng import (
     EXCEPTIONAL_BIDEGREES,
@@ -17,7 +18,7 @@ from kdvcohom.cohomeng import (
     stabilized,
     windowed_dim,
 )
-from kdvcohom.linwin import DEFAULT_LADDER, Window
+from kdvcohom.linwin import DEFAULT_LADDER, Window, enumerate_piece_basis, operator_matrix
 
 
 def test_p_bound():
@@ -208,3 +209,26 @@ def test_les_rank_audit():
 def test_ladder_is_default():
     assert DEFAULT_LADDER[0] == Window(2, 2)
     assert len(DEFAULT_LADDER) >= 5
+
+
+def test_functional_presentation_differentiates_no_parameter(monkeypatch):
+    # the exact terms of a piece with l are built from the l-free blocks
+    seen = []
+    real = varcalc.dtot
+
+    def counting(a):
+        seen.extend(m.lam for m in a.terms)
+        return real(a)
+
+    monkeypatch.setattr(varcalc, "dtot", counting)
+    monkeypatch.setattr(cohomeng, "dtot", counting)
+    monkeypatch.setattr(varcalc, "_DTOT_PIECE", {})
+    rows = cohomeng._presentation_rows("dlambda_F", 2, 4, 3)
+    assert seen and not any(seen)
+    want = operator_matrix(real, enumerate_piece_basis(Bidegree(2, 3), 3),
+                           enumerate_piece_basis(Bidegree(2, 4), 3))
+    assert rows == list(want.cols)
+
+
+def test_one_dtot_store_under_both_names():
+    assert cohomeng._DTOT_CACHE is varcalc._DTOT_PIECE

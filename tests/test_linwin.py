@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvcohom import linwin
-from kdvcohom.algebra import Bidegree, DiffPoly, Monomial, partial, poly, theta, u_jet
+from kdvcohom.algebra import Bidegree, DiffPoly, Monomial, dtot, partial, poly, theta, u_jet
 from kdvcohom.linwin import (
     CompositionError,
     DEFAULT_LADDER,
@@ -28,7 +28,6 @@ from kdvcohom.linwin import (
     WindowOverflowError,
     added_pivots,
     dense,
-    enumerate_basis,
     enumerate_piece_basis,
     in_span,
     intersect_with_coordinates,
@@ -52,7 +51,7 @@ F = Fraction
 # -- independent brute-force enumeration ------------------------------------
 
 
-def brute_monomials(p, d, n_max, l_max, with_l=True):
+def brute_monomials(p, d, n_max, l_max):
     """All monomials of bidegree (p, d) in the window, the slow way."""
     out = set()
     odd_choices = [c for r in range(p, p + 1)
@@ -69,34 +68,18 @@ def brute_monomials(p, d, n_max, l_max, with_l=True):
                 for s in parts:
                     ev[s] = ev.get(s, 0) + 1
                 for u0 in range(n_max + 1):
-                    for lam in range(l_max + 1 if with_l else 1):
+                    for lam in range(l_max + 1):
                         out.add(Monomial(lam, u0, tuple(sorted(ev.items())), odd))
         if rest == 0:
             for u0 in range(n_max + 1):
-                for lam in range(l_max + 1 if with_l else 1):
+                for lam in range(l_max + 1):
                     out.add(Monomial(lam, u0, (), odd))
     return out
 
 
-@pytest.mark.parametrize("p,d", [(0, 0), (0, 3), (1, 1), (1, 4), (2, 3), (3, 3), (2, 5)])
-def test_enumerate_basis_against_brute_force(p, d):
-    w = Window(2, 1)
-    b = enumerate_basis(Bidegree(p, d), w)
-    assert set(b.monomials) == brute_monomials(p, d, 2, 1)
-    assert list(b.monomials) == sorted(b.monomials)
-
-
-def test_enumerate_basis_without_lambda():
-    b = enumerate_basis(Bidegree(1, 2), Window(1, 3), include_lambda=False)
-    assert set(b.monomials) == brute_monomials(1, 2, 1, 0, with_l=False)
-    assert all(m.lam == 0 for m in b.monomials)
-
-
-def test_small_slice_dims():
-    assert len(enumerate_basis(Bidegree(0, 0), Window(2, 2))) == 9
-    assert len(enumerate_basis(Bidegree(1, 1), Window(1, 1))) == 8
-    # p = 2 needs odd orders summing to at most d; impossible below d = 1
-    assert len(enumerate_basis(Bidegree(2, 0), Window(5, 5))) == 0
+def window_basis(bd, w):
+    """The window slice of bidegree bd, from the brute-force enumeration."""
+    return SliceBasis(bd, w, tuple(sorted(brute_monomials(*bd, w.N, w.L))))
 
 
 def test_enumerate_piece_basis_frozen():
@@ -114,9 +97,40 @@ def test_enumerate_piece_matches_window_union():
     bd = Bidegree(2, 4)
     for c in range(4):
         piece = set(enumerate_piece_basis(bd, c).monomials)
-        big = {m for m in enumerate_basis(bd, Window(c, c)).monomials
-               if m.ucount() == c}
+        big = {m for m in brute_monomials(*bd, c, c) if m.ucount() == c}
         assert piece == big
+
+
+def test_piece_is_its_parameter_free_blocks_laid_end_to_end():
+    # l sorts first, so the piece of count c lists l^a times the
+    # parameter-free piece of count c - a for a = 0, 1, ..., each in order
+    pieces = 0
+    for p in range(6):
+        for d in range(9):
+            for c in range(12):
+                bd = Bidegree(p, d)
+                joined = tuple(n._replace(lam=a) for a in range(c + 1)
+                               for n in enumerate_piece_basis(bd, c - a, False).monomials)
+                assert enumerate_piece_basis(bd, c).monomials == joined, (bd, c)
+                pieces += 1
+    assert pieces == 648
+
+
+def test_lambda_lift_lays_blocks_at_their_offsets():
+    # the l-free blocks of dtot from (0, 0) to (0, 1), count 2: the piece
+    # (0, 1) of count 2 is u u1, l u1 (c - a = 2, 1; u1 alone is count 1)
+    up, bd = Bidegree(0, 1), Bidegree(0, 0)
+    free = [operator_matrix(dtot, enumerate_piece_basis(bd, 2 - a, False),
+                            enumerate_piece_basis(up, 2 - a, False)) for a in range(3)]
+    lift = linwin.lambda_lift(bd, up, 2, [((m, a, 1),) for a, m in enumerate(free)])
+    assert [m.format() for m in lift.codomain.monomials] == ["u u1", "l u1"]
+    assert lift.cols == operator_matrix(dtot, lift.domain, lift.codomain).cols
+    # a minus sign negates; a block sent one l-power up lands at its offset
+    neg = linwin.lambda_lift(bd, up, 2, [((free[0], 0, -1),), ((free[1], 1, -1),),
+                                         ((free[2], 2, -1),)])
+    assert neg.cols == tuple(tuple((i, -x) for i, x in col) for col in lift.cols)
+    with pytest.raises(CompositionError, match="do not make the pieces"):
+        linwin.lambda_lift(bd, up, 2, [((m, a, 1),) for a, m in enumerate(free[:2])])
 
 
 def test_piece_without_lambda():
@@ -347,8 +361,8 @@ def d1_inline(a):
 
 def test_operator_matrix_shape_and_rank():
     w = Window(1, 1)
-    dom = enumerate_basis(Bidegree(0, 0), w)
-    cod = enumerate_basis(Bidegree(1, 1), w)
+    dom = window_basis(Bidegree(0, 0), w)
+    cod = window_basis(Bidegree(1, 1), w)
     m = operator_matrix(d1_inline, dom, cod)
     assert len(m.cols) == 4
     assert rank_of(m.cols) == 2
@@ -357,7 +371,7 @@ def test_operator_matrix_shape_and_rank():
 
 def test_operator_matrix_overflow():
     w = Window(2, 2)
-    dom = enumerate_basis(Bidegree(0, 0), w)
+    dom = window_basis(Bidegree(0, 0), w)
     with pytest.raises(WindowOverflowError) as err:
         operator_matrix(lambda a: u_jet(0) * a, dom, dom)
     assert str(err.value) == \
@@ -376,8 +390,8 @@ def test_index_of_names_the_slice():
 
 def test_apply_to_vector_matches_operator():
     w = Window(1, 1)
-    dom = enumerate_basis(Bidegree(1, 1), w)
-    cod = enumerate_basis(Bidegree(2, 2), w)
+    dom = window_basis(Bidegree(1, 1), w)
+    cod = window_basis(Bidegree(2, 2), w)
     m = operator_matrix(d1_inline, dom, cod)
     a = poly("u u1 t0 + 2 l t1")
     image = m.apply_all((dom.vector_of(a),))[0]
@@ -397,9 +411,9 @@ def _two_step(d_in, d_out):
 
 def test_homology_dims_frozen():
     w = Window(1, 1)
-    s0 = enumerate_basis(Bidegree(0, 0), w)
-    s1 = enumerate_basis(Bidegree(1, 1), w)
-    s2 = enumerate_basis(Bidegree(2, 2), w)
+    s0 = window_basis(Bidegree(0, 0), w)
+    s1 = window_basis(Bidegree(1, 1), w)
+    s2 = window_basis(Bidegree(2, 2), w)
     d_in = operator_matrix(d1_inline, s0, s1)
     d_out = operator_matrix(d1_inline, s1, s2)
     fs = _two_step(d_in, d_out)
@@ -407,21 +421,20 @@ def test_homology_dims_frozen():
 
 
 def test_homology_rejects_nonzero_composite():
-    from kdvcohom.algebra import dtot
     w = Window(1, 1)
-    s0 = enumerate_basis(Bidegree(0, 0), w)
-    s1 = enumerate_basis(Bidegree(0, 1), w)
-    s2 = enumerate_basis(Bidegree(0, 2), w)
+    s0 = window_basis(Bidegree(0, 0), w)
+    s1 = window_basis(Bidegree(0, 1), w)
+    s2 = window_basis(Bidegree(0, 2), w)
     with pytest.raises(CompositionError, match="does not square to zero"):
         _two_step(operator_matrix(dtot, s0, s1), operator_matrix(dtot, s1, s2))
 
 
 def test_homology_rejects_mismatched_middle():
     w = Window(1, 1)
-    s0 = enumerate_basis(Bidegree(0, 0), w)
-    s1 = enumerate_basis(Bidegree(1, 1), w)
-    s1b = enumerate_basis(Bidegree(1, 1), Window(1, 0))
-    s2 = enumerate_basis(Bidegree(2, 2), w)
+    s0 = window_basis(Bidegree(0, 0), w)
+    s1 = window_basis(Bidegree(1, 1), w)
+    s1b = window_basis(Bidegree(1, 1), Window(1, 0))
+    s2 = window_basis(Bidegree(2, 2), w)
     with pytest.raises(CompositionError, match="domain mismatch"):
         _two_step(operator_matrix(d1_inline, s0, s1),
                   operator_matrix(d1_inline, s1b, s2))
@@ -509,9 +522,9 @@ def test_validate_passes_a_pair_cancelling_over_the_common_denominator():
 
 def test_quotient_representatives_prefers_monomials():
     w = Window(1, 1)
-    s0 = enumerate_basis(Bidegree(0, 0), w)
-    s1 = enumerate_basis(Bidegree(1, 1), w)
-    s2 = enumerate_basis(Bidegree(2, 2), w)
+    s0 = window_basis(Bidegree(0, 0), w)
+    s1 = window_basis(Bidegree(1, 1), w)
+    s2 = window_basis(Bidegree(2, 2), w)
     d_in = operator_matrix(d1_inline, s0, s1)
     d_out = operator_matrix(d1_inline, s1, s2)
     kernel = nullspace(transpose(d_out.cols), len(s1))
@@ -520,7 +533,7 @@ def test_quotient_representatives_prefers_monomials():
 
 
 def test_quotient_rejects_relations_outside_space():
-    amb = enumerate_basis(Bidegree(0, 0), Window(1, 0))
+    amb = window_basis(Bidegree(0, 0), Window(1, 0))
     e0 = [sparse([F(1), F(0)])]
     e1 = [sparse([F(0), F(1)])]
     with pytest.raises(CompositionError):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kdvcohom.algebra import (
+    Bidegree,
     DiffPoly,
     ZERO,
     dtot,
@@ -29,10 +30,13 @@ from kdvcohom.varcalc import (
     build_dp,
     delta_theta,
     delta_u,
+    dtot_piece_matrix,
     dtot_preimage,
     integral_class,
     schouten,
 )
+
+from kdvcohom.linwin import enumerate_piece_basis, operator_matrix
 
 from test_algebra import st_poly
 
@@ -221,6 +225,24 @@ def test_dtot_preimage_frozen():
     assert dtot_preimage(poly("u1 t0")) is None
     assert dtot_preimage(poly("u")) is None
     assert dtot_preimage(ZERO) == ZERO
+
+
+def test_dtot_piece_matrix_matches_the_derivation():
+    # the reference differentiates every monomial, l-powers included
+    pieces = 0
+    for p in range(-1, 6):
+        for d in range(9):
+            for c in range(-1, 12):
+                for lam in (False, True):
+                    mat = dtot_piece_matrix(p, d, c, lam)
+                    want = operator_matrix(
+                        dtot, enumerate_piece_basis(Bidegree(p, d - 1), c, lam),
+                        enumerate_piece_basis(Bidegree(p, d), c, lam))
+                    assert mat.domain is want.domain and mat.codomain is want.codomain
+                    assert mat.cols == want.cols, (p, d, c, lam)
+                    assert repr(mat.cols) == repr(want.cols), (p, d, c, lam)
+                    pieces += 1
+    assert pieces == 1638
 
 
 def test_functional_equality():
