@@ -23,6 +23,7 @@ from kdvcohom.algebra import (
     theta,
     u_jet,
 )
+from kdvcohom.linwin import enumerate_piece_basis, operator_matrix
 from kdvcohom.varcalc import (
     FunctionalClass,
     OperatorSpec,
@@ -35,8 +36,6 @@ from kdvcohom.varcalc import (
     integral_class,
     schouten,
 )
-
-from kdvcohom.linwin import enumerate_piece_basis, operator_matrix
 
 from test_algebra import st_poly
 
