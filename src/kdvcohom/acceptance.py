@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Bidegree, DiffPoly, dtot, lam_var, mono, poly
 from .cohomeng import (
@@ -32,6 +32,7 @@ from .cohomeng import (
     les_rank_audit,
     p_bound,
     piece_homology,
+    spots_up_to,
     windowed_dim,
 )
 from .kdvpencil import (
@@ -53,8 +54,8 @@ F1 = Fraction(1)
 
 # slices are built one degree past the checked range so that every page
 # space used below sits strictly inside the truncation
-_D_CAP = 7
 _MAX_TOTAL = 6
+_D_CAP = _MAX_TOTAL + 1
 
 
 @dataclass
@@ -180,7 +181,7 @@ def run_verify_suite(name: str, max_d: int = 6, window: Window = Window(3, 2),
 def _pencil_page(k: int, c: int, r: int, p: int, n: int) -> Optional[PageEntry]:
     """Page entry of the truncated pencil piece, or None when degree n is absent."""
     fs = pencil_filtered_slice(k, c, d_cap=_D_CAP)
-    if n not in fs.degrees or n >= _D_CAP:
+    if n not in fs.degrees:
         return None
     return page(fs, r, p, n - p)
 
@@ -188,8 +189,12 @@ def _pencil_page(k: int, c: int, r: int, p: int, n: int) -> Optional[PageEntry]:
 def windowed_page_counts(r: int, p: int, q: int,
                          windows: Sequence[Window]) -> List[int]:
     """Window counts of one page position, one per window, each summed over
-    all pieces meeting it; every piece's entry is built once for all windows."""
+    all pieces meeting it; every piece's entry is built once for all windows.
+    A position past the total _MAX_TOTAL, beyond the slices, raises ValueError."""
     n = p + q
+    if n > _MAX_TOTAL:
+        raise ValueError(f"page position ({p},{q}) lies past the total "
+                         f"{_MAX_TOTAL} the truncated slices reach")
     tops = [w.N + w.L + n for w in windows]
     got = [0] * len(windows)
     for k in range(max(-1, n - p_bound(n)), n + 1):
@@ -206,6 +211,13 @@ def windowed_page_counts(r: int, p: int, q: int,
 def windowed_page_count(r: int, p: int, q: int, w: Window) -> int:
     """Window count of one page position summed over all pieces meeting it."""
     return windowed_page_counts(r, p, q, (w,))[0]
+
+
+def page_spots(max_total: int) -> Iterator[Bidegree]:
+    """The bidegrees whose pieces the page counts up to the total max_total
+    build, by increasing degree; those pieces carry l, with counts up to
+    the largest N + L of the windows plus max_total."""
+    return (bd for bd in spots_up_to(_D_CAP) if bd.d - bd.p <= max_total)
 
 
 # -- criteria ------------------------------------------------------------------

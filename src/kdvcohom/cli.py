@@ -20,6 +20,7 @@ from .acceptance import (
     VERIFY_SUITES,
     _MAX_TOTAL,
     format_results,
+    page_spots,
     run_acceptance,
     run_verify_suite,
     windowed_page_counts,
@@ -38,10 +39,10 @@ from .linwin import DEFAULT_LADDER, Window, piece_sizes_total, window_reps
 
 _SCHEMA = 1
 
-# verify and bh refuse a run whose pieces hold more monomials than this.
-# The largest size that the defaults, the acceptance battery, the demos
-# and the benchmark reach is 29298 (all six bh kinds to degree 5 at window
-# 5:4); bh --kind bh_F near the budget runs for minutes, not hours.
+# verify, pages and bh refuse a run whose pieces hold more monomials than
+# this.  The largest size that the defaults, the acceptance battery, the
+# demos and the benchmark reach is 31583 (the battery's pages, to total 6
+# over the default ladder); bh --kind bh_F near the budget runs for minutes.
 _COST_BUDGET = 100_000
 
 
@@ -83,23 +84,23 @@ def _windowed_reps(kind: str, p: int, d: int, w: Window) -> List[str]:
     return out
 
 
-def _affordable(parser, max_d: int, spots: Iterable[Bidegree],
+def _affordable(parser, flag: str, bound: int, spots: Iterable[Bidegree],
                 families: Callable[[int], Sequence[Tuple[int, bool]]]) -> List[Bidegree]:
-    """The spots (all of degree <= max_d) as a list; exit 2, before any
+    """The spots (all within flag at bound) as a list; exit 2, before any
     matrix is built, when their pieces hold more monomials than the budget.
 
     families(d) lists the largest count and the parameter flag of each piece
     family at standard degree d.  The count stops at the first spot past the
-    budget, so the spots of a huge --max-d, by increasing degree, stop at once.
+    budget, so the spots of a huge bound, by increasing degree, stop at once.
     """
     out = []
     cost = 0
     for bd in spots:
         cost += sum(piece_sizes_total(bd, top, lam) for top, lam in families(bd.d))
         if cost > _COST_BUDGET:
-            parser.error(f"the requested pieces up to --max-d {max_d} hold at least "
+            parser.error(f"the requested pieces up to {flag} {bound} hold at least "
                          f"{cost} monomials, above the budget of {_COST_BUDGET}; "
-                         f"lower --max-d or the window")
+                         f"lower {flag} or the window")
         out.append(bd)
     return out
 
@@ -163,7 +164,7 @@ def _cmd_verify(args, parser) -> Tuple[dict, bool, str]:
         parser.error("--max-d must be at least 0")
     w = args.window
     # the monomial battery enumerates every piece of counts up to N + L + d
-    _affordable(parser, args.max_d, spots_up_to(args.max_d),
+    _affordable(parser, "--max-d", args.max_d, spots_up_to(args.max_d),
                 lambda d: ((w.N + w.L + d, True),))
     names = tuple(dict.fromkeys(args.suite)) if args.suite else VERIFY_SUITES
     results = [run_verify_suite(nm, max_d=args.max_d, window=args.window)
@@ -189,6 +190,9 @@ def _cmd_pages(args, parser) -> Tuple[dict, bool, str]:
         parser.error("--page must be at least 1")
     if not 0 <= args.max_total <= _MAX_TOTAL:
         parser.error(f"--max-total must lie in 0..{_MAX_TOTAL}")
+    top = max(w.N + w.L for w in args.windows) + args.max_total
+    _affordable(parser, "--max-total", args.max_total, page_spots(args.max_total),
+                lambda d: ((top, True),))
     headers = [f"{w.N}:{w.L}" for w in args.windows]
     entries = []
     lines = [f"page {args.page} window counts by (p, q); windows "
@@ -227,7 +231,7 @@ def _cmd_bh(args, parser) -> Tuple[dict, bool, str]:
     w = args.window
     # a spot named twice is computed and reported once
     spots = _affordable(
-        parser, args.max_d,
+        parser, "--max-d", args.max_d,
         sorted(set(args.bidegree)) if args.bidegree else spots_up_to(args.max_d),
         lambda d: tuple((piece_count_range(kind, d, w)[-1], kind in _LAMBDA_KINDS)
                         for kind in kinds))

@@ -49,7 +49,6 @@ from .linwin import (
     quotient_representatives,
     rank_of,
     rep_coordinates,
-    rref,
     sparse,
     stabilized_dims,
     transpose,
@@ -81,10 +80,10 @@ class PieceHomology:
     """One exact cohomology group on an even-count piece.
 
     reps are (coordinate vector, monomial-or-None) pairs; relation_rows
-    are the Rows spanning everything the classes are taken modulo
-    (coboundaries plus any presentation relations).  cocycle_rank and
-    boundary_rank are the dimensions of the lifted kernel and of that
-    relation span.
+    are Rows spanning everything the classes are taken modulo (coboundaries
+    plus any presentation relations), not reduced and not independent in
+    general.  cocycle_rank and boundary_rank are the dimensions of the
+    lifted kernel and of that relation span.
     """
     kind: str
     bidegree: Bidegree
@@ -118,17 +117,31 @@ def _presentation_rows(kind: str, p: int, d: int, c: int):
     return []
 
 
-def _joint_kernel(*parts: Tuple[OperatorMatrix, List[Row]]) -> List[Row]:
-    """Joint kernel of operators on one domain, each modulo its relations.
+def _node(kind: str, p: int, d: int, c: int):
+    """A node's outgoing piece matrices, each with the count of its codomain
+    piece, and the incoming image its classes are taken modulo."""
+    if kind.startswith("bh"):
+        image = ()
+        if min(p, d) >= 2:
+            first = d2_piece_matrix(p - 2, d - 2, c + 1)
+            image = d1_piece_matrix(p - 1, d - 1, c + 1).apply_all(first.cols)
+        return [(d1_piece_matrix(p, d, c), c - 1), (d2_piece_matrix(p, d, c), c)], image
+    # d1 lowers the count by one; the pencil differential keeps it
+    op, s = (d1_piece_matrix, 1) if kind == "d1_A" else (dlambda_piece_matrix, 0)
+    image = op(p - 1, d - 1, c + s).cols if min(p, d) >= 1 else ()
+    return [(op(p, d, c), c - s)], image
 
-    Each part is an operator with the relation rows of its codomain; the
-    columns are reduced against one Echelon of the relations and stacked,
-    the codomain of each later part placed below the one before.
-    """
-    stacked = [()] * len(parts[0][0].domain)
+
+def _cocycles(kind: str, p: int, d: int,
+              outs: Sequence[Tuple[OperatorMatrix, int]]) -> List[Row]:
+    """Joint kernel of the outgoing matrices, each modulo the presentation
+    of its codomain: the columns are reduced against one Echelon of it and
+    stacked, each later codomain placed below the one before."""
+    stacked = [()] * len(outs[0][0].domain)
     shift = 0
-    for op, rel_rows in parts:
+    for op, count in outs:
         cols = op.cols
+        rel_rows = _presentation_rows(kind, p + 1, d + 1, count)
         if rel_rows:
             relations = Echelon(rel_rows)
             cols = [relations.reduce(col) for col in cols]
@@ -138,59 +151,22 @@ def _joint_kernel(*parts: Tuple[OperatorMatrix, List[Row]]) -> List[Row]:
     return nullspace(transpose(stacked), len(stacked))
 
 
-def _single_complex(kind: str, p: int, d: int, c: int):
-    """Kernel lift and boundary span for the one-differential kinds."""
-    if kind == "d1_A":
-        out_op = d1_piece_matrix(p, d, c)
-        in_op = d1_piece_matrix(p - 1, d - 1, c + 1) if min(p, d) >= 1 else None
-        out_rel = _presentation_rows(kind, p + 1, d + 1, c - 1)
-    else:
-        out_op = dlambda_piece_matrix(p, d, c)
-        in_op = dlambda_piece_matrix(p - 1, d - 1, c) if min(p, d) >= 1 else None
-        out_rel = _presentation_rows(kind, p + 1, d + 1, c)
-    kernel = _joint_kernel((out_op, out_rel))
-    image = list(in_op.cols) if in_op is not None else []
-    return kernel, image
-
-
-def _bh_complex(kind: str, p: int, d: int, c: int):
-    """Joint kernel of both structures, modulo the composite image."""
-    out1 = d1_piece_matrix(p, d, c)
-    out2 = d2_piece_matrix(p, d, c)
-    rel1 = _presentation_rows(kind, p + 1, d + 1, c - 1)
-    rel2 = _presentation_rows(kind, p + 1, d + 1, c)
-    kernel = _joint_kernel((out1, rel1), (out2, rel2))
-    image = []
-    if p >= 2 and d >= 2:
-        first = d2_piece_matrix(p - 2, d - 2, c + 1)
-        second = d1_piece_matrix(p - 1, d - 1, c + 1)
-        image = second.apply_all(first.cols)
-    return kernel, image
-
-
 @lru_cache(maxsize=None)
 def piece_homology(kind: str, p: int, d: int, c: int) -> PieceHomology:
     """Exact cohomology of one complex at one (p, d) node and count piece."""
     if kind not in KINDS:
         raise ValueError(f"unknown complex kind {kind!r}")
-    include_lambda = kind in _LAMBDA_KINDS
-    basis = enumerate_piece_basis(Bidegree(p, d), c, include_lambda)
-    presentation = _presentation_rows(kind, p, d, c)
-    if kind.startswith("bh"):
-        kernel, image = _bh_complex(kind, p, d, c)
-    else:
-        kernel, image = _single_complex(kind, p, d, c)
-    rel_red, _ = rref(list(image) + list(presentation))
-    reps = quotient_representatives(basis, kernel, rel_red)
+    basis = enumerate_piece_basis(Bidegree(p, d), c, kind in _LAMBDA_KINDS)
+    outs, image = _node(kind, p, d, c)
+    kernel = _cocycles(kind, p, d, outs)
+    # unreduced: quotient_representatives reduces the relations once
+    relations = tuple(row for row in (*image, *_presentation_rows(kind, p, d, c)) if row)
+    reps = quotient_representatives(basis, kernel, relations)
     # a canonical kernel basis is independent, so its length is the rank
-    coc_rank = len(kernel)
-    bnd_rank = len(rel_red)
     return PieceHomology(
         kind=kind, bidegree=Bidegree(p, d), ucount=c, basis=basis,
-        cocycle_rank=coc_rank, boundary_rank=bnd_rank,
-        dim=coc_rank - bnd_rank,
-        reps=publish_reps(basis, reps),
-        relation_rows=tuple(rel_red))
+        cocycle_rank=len(kernel), boundary_rank=len(kernel) - len(reps),
+        dim=len(reps), reps=publish_reps(basis, reps), relation_rows=relations)
 
 
 def piece_count_range(kind: str, d: int, w: Window) -> range:

@@ -352,7 +352,7 @@ def rref(rows: Sequence[Row]):
 
     Returns (nonzero rows, pivot column list), both in pivot order; the
     pivot of a row is its first nonzero column.  The form is the one an
-    Echelon reaches on the rows.
+    Echelon reaches on the rows; nothing in the package calls it.
     """
     ech = Echelon(rows)
     return ech.rows(), ech.pivots()
@@ -543,17 +543,18 @@ def quotient_representatives(ambient: SliceBasis, space_rows: Sequence[Row],
                              relation_rows: Sequence[Row]):
     """Deterministic transversal of span(space)/span(relations).
 
-    Relations must span a subspace of the space (checked).  Preference is
+    The relation rows may be any spanning set (repeats, zero rows): one
+    echelon reduces them, is checked to lie in the space and is extended by
+    each accepted candidate, so only their span matters.  Preference is
     given to single monomials in canonical order, so whenever the quotient
     admits a monomial transversal the representatives are plain monomials;
-    otherwise reduced space rows fill the remainder.  One echelon of the
-    relations is extended by each accepted candidate.
+    otherwise reduced space rows fill the remainder.
 
     Returns a list of (Row, monomial-or-None) pairs.
     """
     space = Echelon(space_rows)
     acc = Echelon(relation_rows)
-    if not all(space.contains(row) for row in relation_rows):
+    if not all(space.contains(row) for row in acc.rows()):
         raise CompositionError("relations are not contained in the space")
     target = len(space) - len(acc)
     reps = []

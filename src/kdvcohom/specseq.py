@@ -48,7 +48,6 @@ from .linwin import (
     rank_of,
     rep_coordinates,
     rep_rows,
-    rref,
     transpose,
     window_reps,
 )
@@ -217,17 +216,18 @@ def b_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
 
 
 def _relation_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
-    """Reduced basis of B_{r-1} + Z_{r-1} at p + 1, what E_r at p is taken modulo."""
-    return rref(b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n))[0]
+    """Rows spanning B_{r-1} + Z_{r-1} at p + 1, what E_r at p is taken
+    modulo; quotient_representatives reduces them."""
+    return b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n)
 
 
 @dataclass(frozen=True)
 class PageEntry:
     """One spectral sequence entry with a deterministic transversal.
 
-    Entries are shared, so every field is immutable.  relation_rows, the
-    Rows of the span the representatives are taken modulo, is built on
-    first read.
+    Entries are shared, so every field is immutable.  relation_rows, Rows
+    spanning what the representatives are taken modulo (not reduced), is
+    built on first read.
     """
 
     r: int

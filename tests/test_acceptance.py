@@ -22,6 +22,7 @@ from kdvcohom.acceptance import (
 )
 from kdvcohom.algebra import poly
 from kdvcohom.cli import main
+from kdvcohom.kdvpencil import e1_basis
 from kdvcohom.linwin import Window
 from kdvcohom.varcalc import OperatorSpec
 
@@ -106,3 +107,16 @@ def test_two_window_ladder_builds_each_nonzero_page_once(monkeypatch, capsys):
     assert len(builds) > len(once) and set(builds) == set(once)
     assert [list(e["counts"].values()) for e in entries] == per_window
     assert [windowed_page_counts(1, p, q, ladder) for p, q in positions] == per_window
+
+
+def test_page_counts_refuse_positions_past_the_truncation():
+    # the slices end at degree _D_CAP, one past the largest total counted,
+    # so a page of total 7 would read as empty (the model basis at (3, 4)
+    # holds 6 classes); total 6 still matches the model
+    assert acceptance._D_CAP == acceptance._MAX_TOTAL + 1
+    w = Window(2, 1)
+    assert windowed_page_count(1, 3, 3, w) == len(e1_basis(3, 3, w)) == 12
+    with pytest.raises(ValueError, match=r"\(3,4\) lies past the total 6"):
+        windowed_page_count(1, 3, 4, w)
+    with pytest.raises(ValueError):
+        windowed_page_counts(2, 0, 7, [w, Window(3, 2)])

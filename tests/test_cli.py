@@ -1,13 +1,18 @@
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
+from kdvcohom.acceptance import page_spots
 from kdvcohom.algebra import Bidegree
 from kdvcohom.cli import _COST_BUDGET, main
 from kdvcohom.cohomeng import KINDS, p_bound, piece_count_range, piece_homology
-from kdvcohom.linwin import Window, piece_sizes_total
+from kdvcohom.linwin import DEFAULT_LADDER, Window, piece_sizes_total
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -182,6 +187,7 @@ def test_repeated_selections_report_once(capsys, fmt, repeated, once):
 @pytest.mark.parametrize("argv", [
     ["bh", "--kind", "bh_F", "--max-d", "40", "--window", "3:2"],
     ["verify", "--max-d", "40"],
+    ["pages", "--windows", "100:100"],
 ])
 def test_oversized_runs_are_refused_at_once(capsys, argv):
     start = time.perf_counter()
@@ -201,6 +207,9 @@ def test_default_runs_pass_the_cost_guard(capsys):
     assert rc == 0 and out.rstrip().endswith("OK")
     rc, out = run(capsys, "bh")
     assert rc == 0 and out.startswith("bh_A window (3,2) degrees <= 5")
+    rc, out = run(capsys, "pages")
+    assert rc == 0 and out.startswith(
+        "page 1 window counts by (p, q); windows 2:2 3:2 4:2 5:2 5:3 5:4")
 
 
 def test_cost_budget_clears_the_largest_shipped_size():
@@ -212,3 +221,23 @@ def test_cost_budget_clears_the_largest_shipped_size():
                for kind in KINDS for d in range(6) for p in range(p_bound(d) + 1))
     assert cost == 29298
     assert 3 * cost < _COST_BUDGET
+
+
+def test_cost_budget_clears_the_battery_pages():
+    # the page checks of the acceptance battery count every position up to
+    # total 6 over the default ladder; the default pages run stops at 4
+    top = max(w.N + w.L for w in DEFAULT_LADDER)
+    sizes = [sum(piece_sizes_total(bd, top + max_total, True)
+                 for bd in page_spots(max_total))
+             for max_total in (4, 6)]
+    assert sizes == [13504, 31583]
+    assert 3 * sizes[-1] < _COST_BUDGET
+
+
+def test_readme_sample_table_is_what_bh_prints(capsys):
+    sample = re.search(r"Sample table output:\n\n```\n(.*?)```", README.read_text(),
+                       re.S)
+    assert sample, "README.md lost its sample table block"
+    rc, out = run(capsys, "bh", "--kind", "bh_F", "--window", "3:2", "--max-d", "5")
+    assert rc == 0
+    assert out == sample.group(1), "README.md sample table differs from bh output"

@@ -8,6 +8,7 @@ from kdvcohom import cohomeng, varcalc
 from kdvcohom.algebra import Bidegree, mono, poly
 from kdvcohom.cohomeng import (
     EXCEPTIONAL_BIDEGREES,
+    KINDS,
     ExceptionalBidegreeError,
     class_coords,
     compare_bh_vs_lambda,
@@ -15,10 +16,18 @@ from kdvcohom.cohomeng import (
     les_rank_audit,
     p_bound,
     piece_homology,
+    spots_up_to,
     stabilized,
     windowed_dim,
 )
-from kdvcohom.linwin import DEFAULT_LADDER, Window, enumerate_piece_basis, operator_matrix
+from kdvcohom.linwin import (
+    DEFAULT_LADDER,
+    Window,
+    dense,
+    enumerate_piece_basis,
+    operator_matrix,
+    rank_of,
+)
 
 
 def test_p_bound():
@@ -170,6 +179,21 @@ def test_class_coords():
     assert class_coords(ph, poly("3 u^2 u1 t0 + u^3 t1")) == [0]
     ph2 = piece_homology("dlambda_A", 0, 0, 1)
     assert class_coords(ph2, poly("u")) is None  # not a cocycle
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_relation_rows_span_the_boundaries(kind):
+    # relation_rows are a spanning set, not a basis: their rank is the
+    # boundary rank, and each of them is the zero class
+    for bd in spots_up_to(4):
+        for c in range(4):
+            ph = piece_homology(kind, bd.p, bd.d, c)
+            assert ph.boundary_rank == rank_of(ph.relation_rows), (bd, c)
+            assert ph.dim == ph.cocycle_rank - ph.boundary_rank == len(ph.reps), (bd, c)
+            zero = [0] * len(ph.reps)
+            for row in ph.relation_rows:
+                rel = ph.basis.poly_of(dense(row, len(ph.basis)))
+                assert class_coords(ph, rel) == zero, (bd, c)
 
 
 def test_compare_refuses_exceptional():

@@ -5,10 +5,11 @@ rational matrices pins every view of the Echelon kernel: the reduced form
 and its pivots, the rank, the canonical kernel basis, the exact remainder
 of a vector against a reduced basis, the particular solution with free
 variables set to zero, the unique class coordinates of many vectors at
-once, and the intersection of a row space with a
-coordinate subspace.  Entries mix Fractions and ints, small and wide, and
-every result must come back as Fractions.  Matrices are drawn dense, go in
-through sparse() and come back through dense().
+once, the intersection of a row space with a coordinate subspace, and
+the size of a quotient transversal taken modulo unreduced relations.
+Entries mix Fractions and ints, small and wide, and every result must
+come back as Fractions.  Matrices are drawn dense, go in through sparse()
+and come back through dense().
 """
 
 from fractions import Fraction
@@ -17,12 +18,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kdvcohom.algebra import Bidegree, Monomial
 from kdvcohom.linwin import (
+    CompositionError,
+    SliceBasis,
     dense,
     in_span,
     intersect_with_coordinates,
     nullspace,
     quotient_coordinates,
+    quotient_representatives,
     rank_of,
     reduce_against,
     rref,
@@ -218,3 +223,28 @@ def test_intersect_with_coordinates_matches_sympy(rows, data):
     got = intersect_with_coordinates(rows_of(rows), allowed)
     assert [dense(r, n) for r in got] == want
     assert all(map(is_fraction_row, got))
+
+
+@settings(max_examples=150)
+@given(st_matrix, st.data())
+def test_quotient_representatives_reduce_any_spanning_relations(rows, data):
+    n = len(rows[0])
+    ambient = SliceBasis(Bidegree(0, 0), None, tuple(Monomial(lam=j) for j in range(n)))
+    space = rows_of(rows)
+    # random combinations of the space rows, one of them repeated, and zero rows
+    coeffs = data.draw(st.lists(
+        st.lists(st_entry, min_size=len(rows), max_size=len(rows)), max_size=4))
+    combos = [[sum((ci * row[j] for ci, row in zip(c, rows)), F(0)) for j in range(n)]
+              for c in coeffs]
+    relations = [sparse(v) for v in combos + combos[:1]] + [()] * data.draw(st.integers(0, 2))
+    reps = quotient_representatives(ambient, space, relations)
+    assert reps == quotient_representatives(ambient, space, rref(relations)[0])
+    rank_rel = to_sympy(combos).rank() if combos else 0
+    assert len(reps) == to_sympy(rows).rank() - rank_rel
+    # a unit vector outside the space makes the relations escape it
+    outside = [j for j in range(n)
+               if to_sympy(rows + [[F(int(i == j)) for i in range(n)]]).rank()
+               > to_sympy(rows).rank()]
+    if outside:
+        with pytest.raises(CompositionError):
+            quotient_representatives(ambient, space, relations + [((outside[0], F(1)),)])
