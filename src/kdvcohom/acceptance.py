@@ -216,7 +216,9 @@ def windowed_page_count(r: int, p: int, q: int, w: Window) -> int:
 def page_spots(max_total: int) -> Iterator[Bidegree]:
     """The bidegrees whose pieces the page counts up to the total max_total
     build, by increasing degree; those pieces carry l, with counts up to
-    the largest N + L of the windows plus max_total."""
+    the largest N + L of the windows plus max_total.  Their count is a lower
+    bound: the top slice matrices' degree-8 codomains are left out (470 next
+    to 13504 by default, 11446 next to 31583 at max_total 6)."""
     return (bd for bd in spots_up_to(_D_CAP) if bd.d - bd.p <= max_total)
 
 

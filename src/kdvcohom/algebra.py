@@ -24,7 +24,9 @@ of the rest, which is how dtot, the evolutionary fields of varcalc and the
 page-zero differential of kdvpencil are built.  The images reach it
 already scaled to integers, once per operator, so its term map runs on
 ints; _integers is the one scaling from exact numbers to integers, here
-and in linwin.
+and in linwin.  Both derivation and DiffPoly * multiply through one
+kernel, _times: a whole image times one monomial on the right, with Koszul
+signs and repeated odd factors found by bisection on the sorted odd tuples.
 
 Everything here is exact; coefficients are fractions.Fraction (an int is
 converted, anything else raises TypeError) and no floating point is ever
@@ -33,6 +35,7 @@ produced.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from operator import index
@@ -134,45 +137,39 @@ def mono(lam: int = 0, u0: int = 0, even: Iterable = (), odd: Iterable = ()) -> 
     return Monomial(lam, u0, tuple(sorted(ev.items())), od)
 
 
-def _merge_odd(a: tuple, b: tuple):
-    """Merge two sorted odd-factor tuples; returns (merged, sign) or None.
-
-    The sign is the Koszul sign (-1)^inversions of moving the factors of b
-    past those of a into sorted position; a repeated factor squares to zero.
-    """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    inversions = 0
-    merged = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining factors of a
-            inversions += len(a) - i
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), (-1 if inversions % 2 else 1)
+_new = tuple.__new__  # a Monomial without NamedTuple's slower __new__
 
 
-def mul_monomials(m1: Monomial, m2: Monomial):
-    """Product of two monomials: (monomial, sign) or None if it vanishes."""
-    res = _merge_odd(m1.odd, m2.odd)
-    if res is None:
-        return None
-    odd, sign = res
-    ev = dict(m1.even)
-    for s, e in m2.even:
-        ev[s] = ev.get(s, 0) + e
-    return Monomial(m1.lam + m2.lam, m1.u0 + m2.u0, tuple(sorted(ev.items())), odd), sign
+def _times(image, m: Monomial) -> list:
+    """The (monomial, signed coefficient) terms of image * m, image being
+    (monomial, coefficient) pairs; a term repeating an odd factor of m
+    vanishes.  Its Koszul sign is the parity of the sum, over its odd
+    factors s, of the number of m's odd factors below s, found by bisection
+    on the sorted tuples, as is a repeat."""
+    lam, u0, even, odd = m
+    n = len(odd)
+    out = []
+    for (ilam, iu0, ieven, iodd), c in image:
+        if iodd and odd:
+            flips = 0
+            for s in iodd:
+                k = bisect_left(odd, s)
+                if k < n and odd[k] == s:
+                    flips = -1
+                    break
+                flips += k
+            if flips < 0:
+                continue
+            if flips & 1:
+                c = -c
+            iodd = tuple(sorted(iodd + odd))
+        if ieven and even:
+            ev = dict(ieven)
+            for s, e in even:
+                ev[s] = ev.get(s, 0) + e
+            ieven = tuple(sorted(ev.items()))
+        out.append((_new(Monomial, (ilam + lam, iu0 + u0, ieven or even, iodd or odd)), c))
+    return out
 
 
 def _parse_var(var: str):
@@ -237,18 +234,15 @@ class DiffPoly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, _F0) + c
-        return DiffPoly(terms)
+        return _poly({m: c for m, c in terms.items() if c})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, _F0) - c
-        return DiffPoly(terms)
+        return self + -other
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -256,14 +250,10 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                res = mul_monomials(m1, m2)
-                if res is None:
-                    continue
-                m, sign = res
-                terms[m] = terms.get(m, _F0) + sign * c1 * c2
-        return DiffPoly(terms)
+        for m2, c2 in other.terms.items():
+            for m, c in _times(self.terms.items(), m2):
+                terms[m] = terms.get(m, _F0) + c * c2
+        return _poly({m: c for m, c in terms.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -308,6 +298,13 @@ class DiffPoly:
         return f"DiffPoly({format_poly(self)!r})"
 
 
+def _poly(terms: dict) -> DiffPoly:
+    """The polynomial of nonzero Fractions built here, left unchecked."""
+    a = DiffPoly.__new__(DiffPoly)
+    a.terms = terms
+    return a
+
+
 ZERO = DiffPoly.zero()
 ONE = DiffPoly.scalar(1)
 
@@ -336,25 +333,28 @@ def mul(a: DiffPoly, b: DiffPoly) -> DiffPoly:
     return a * b
 
 
-def monomial_partials(m: Monomial):
+def monomial_partials(m: Monomial) -> list:
     """The partial derivatives of one monomial, one per variable present.
 
-    Yields (variable, factor, rest) with d m / d variable = factor * rest.
+    A list of (variable, factor, rest) with d m / d variable = factor * rest.
     variable is named as _parse_var names it: ('lam', None), ('u', s) or
     ('t', s); rest is m with one copy of the variable removed.  The factor
     is the exponent for l, u and u^s; for t^s it is the left-derivative
     sign (-1)^k, k the number of odd factors preceding t^s.
     """
     lam, u0, even, odd = m
+    out = []
     if lam:
-        yield ("lam", None), lam, Monomial(lam - 1, u0, even, odd)
+        out.append((("lam", None), lam, _new(Monomial, (lam - 1, u0, even, odd))))
     if u0:
-        yield ("u", 0), u0, Monomial(lam, u0 - 1, even, odd)
+        out.append((("u", 0), u0, _new(Monomial, (lam, u0 - 1, even, odd))))
     for i, (s, e) in enumerate(even):
         fewer = even[:i] + (((s, e - 1),) if e > 1 else ()) + even[i + 1:]
-        yield ("u", s), e, Monomial(lam, u0, fewer, odd)
+        out.append((("u", s), e, _new(Monomial, (lam, u0, fewer, odd))))
     for k, s in enumerate(odd):
-        yield ("t", s), (-1 if k % 2 else 1), Monomial(lam, u0, even, odd[:k] + odd[k + 1:])
+        out.append((("t", s), -1 if k % 2 else 1,
+                    _new(Monomial, (lam, u0, even, odd[:k] + odd[k + 1:]))))
+    return out
 
 
 def partial(a: DiffPoly, var: str) -> DiffPoly:
@@ -422,11 +422,10 @@ def derivation(a: DiffPoly, even_image: Callable[[int], IntegerImage],
     multiplied on the left, so an odd image gives an odd derivation.
 
     The images come already scaled to integers (see integer_image), so a
-    caller that applies one operator many times scales each image once;
-    each is looked up once per call.  The coefficients of a are scaled to
-    integers over their lcm denominator, the term map accumulates integer
-    numerators over that times the lcm of the images' denominators, and
-    one Fraction is built per nonzero output term.
+    caller applying one operator many times scales each image once.  The
+    term map accumulates integer numerators, one _times call per variable
+    and rest, over the lcm denominators of a and of the images, and one
+    Fraction is built per nonzero output term.
     """
     v, den_a = _integers(a.terms.items())
     images = {}
@@ -436,22 +435,19 @@ def derivation(a: DiffPoly, even_image: Callable[[int], IntegerImage],
             kind, s = var
             if kind == "lam":
                 continue
-            if var not in images:
-                images[var] = (even_image if kind == "u" else odd_image)(s)
-            steps.append((var, n * factor, rest))
+            image = images.get(var)
+            if image is None:
+                image = images[var] = (even_image if kind == "u" else odd_image)(s)
+            steps.append((image, n * factor, rest))
     den_i = lcm(*[den for _, den in images.values()])
     terms: dict = {}
-    for var, n, rest in steps:
-        pairs, den = images[var]
+    for (pairs, den), n, rest in steps:
         if den != den_i:
             n *= den_i // den
-        for mi, ni in pairs:
-            res = mul_monomials(mi, rest)
-            if res is not None:
-                mm, sign = res
-                terms[mm] = terms.get(mm, 0) + sign * n * ni
+        for mm, ni in _times(pairs, rest):
+            terms[mm] = terms.get(mm, 0) + n * ni
     den = den_a * den_i
-    return DiffPoly({mm: Fraction(n, den) for mm, n in terms.items() if n})
+    return _poly({mm: Fraction(n, den) for mm, n in terms.items() if n})
 
 
 def _next_jet(s: int) -> IntegerImage:

@@ -42,7 +42,9 @@ _SCHEMA = 1
 # verify, pages and bh refuse a run whose pieces hold more monomials than
 # this.  The largest size that the defaults, the acceptance battery, the
 # demos and the benchmark reach is 31583 (the battery's pages, to total 6
-# over the default ladder); bh --kind bh_F near the budget runs for minutes.
+# over the default ladder), a lower bound, since the degree-8 codomains of
+# the top slice matrices (11446 more) lie outside page_spots; bh --kind bh_F
+# near the budget runs for minutes.
 _COST_BUDGET = 100_000
 
 

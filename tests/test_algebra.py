@@ -32,7 +32,7 @@ from kdvcohom.algebra import (
     theta,
     u_jet,
 )
-from kdvcohom.varcalc import OperatorSpec, apply_op
+from kdvcohom.varcalc import OperatorSpec, apply_op, delta_theta, delta_u
 
 
 # -- monomial bookkeeping --------------------------------------------------
@@ -105,6 +105,53 @@ st_monomial = st.builds(
 st_poly = st.lists(
     st.tuples(st_monomial, st.fractions(max_denominator=6)), max_size=3
 ).map(lambda ts: DiffPoly({m: c for m, c in ts}))
+
+
+def brute_product(m1, m2):
+    """m1 * m2 from the definition: the factors of m1 followed by those of
+    m2, the odd ones bubble-sorted with a sign flip per swap, and zero when
+    an odd factor repeats."""
+    odd = list(m1.odd + m2.odd)
+    sign = 1
+    for end in range(len(odd) - 1, 0, -1):
+        for i in range(end):
+            if odd[i] > odd[i + 1]:
+                odd[i], odd[i + 1] = odd[i + 1], odd[i]
+                sign = -sign
+    if any(x == y for x, y in zip(odd, odd[1:])):
+        return ZERO
+    return DiffPoly.monomial(
+        mono(m1.lam + m2.lam, m1.u0 + m2.u0, m1.even + m2.even, odd), sign)
+
+
+# up to five odd factors of orders 0..7 and jets up to order 4, so that
+# products meet repeated odd factors and long Koszul reorderings
+st_monomial_wide = st.builds(
+    lambda lam, u0, evs, odd: mono(lam=lam, u0=u0, even=list(evs.items()), odd=odd),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3),
+    st.sets(st.integers(0, 7), max_size=5).map(sorted),
+)
+st_poly_wide = st.lists(
+    st.tuples(st_monomial_wide, st.fractions(max_denominator=6)), max_size=4
+).map(lambda ts: DiffPoly({m: c for m, c in ts}))
+
+
+@settings(max_examples=300)
+@given(st_monomial_wide, st_monomial_wide)
+def test_monomial_product_matches_brute_force(m1, m2):
+    assert DiffPoly.monomial(m1) * DiffPoly.monomial(m2) == brute_product(m1, m2)
+
+
+@settings(max_examples=100)
+@given(st_poly_wide, st_poly_wide)
+def test_polynomial_product_matches_brute_force(a, b):
+    expected = ZERO
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            expected = expected + (c1 * c2) * brute_product(m1, m2)
+    assert a * b == expected
 
 
 @given(st_monomial, st_monomial)
@@ -216,14 +263,15 @@ def test_dtot_grading(m):
 
 
 def derivation_reference(a, even_image, odd_image):
-    """The derivation term by term in Fraction arithmetic: each variable's
-    image times the rest of its monomial, by the polynomial product."""
+    """The derivation term by term in Fraction arithmetic: each term of each
+    variable's image times the rest of its monomial, by brute_product."""
     out = ZERO
     for m, c in a.terms.items():
         for (kind, s), factor, rest in monomial_partials(m):
             if kind != "lam":
                 image = even_image(s) if kind == "u" else odd_image(s)
-                out = out + (c * factor) * (image * DiffPoly.monomial(rest))
+                for mi, ci in image.terms.items():
+                    out = out + (c * factor * ci) * brute_product(mi, rest)
     return out
 
 
@@ -253,6 +301,26 @@ def test_derivation_matches_fraction_reference(a):
             (dtot(a), lambda s: u_jet(s + 1), lambda s: theta(s + 1))):
         assert got == derivation_reference(a, even_image, odd_image)
         assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_poly_5, st_poly_5, st.sets(st.integers(0, 5), min_size=1, max_size=2))
+def test_results_hold_only_nonzero_fractions(a, b, shared):
+    # forced cancellations: a - a, a + b - b, and products whose factors
+    # share the odd factors of t, which square to zero
+    t = DiffPoly.monomial(mono(odd=shared))
+    assert not (a - a).terms
+    assert (a + b) - b == a
+    operands = [a, b, a - a, a + b - b, a * t, t * b + a]
+    results = [x + y for x in operands for y in operands]
+    results += [x - y for x in operands for y in operands]
+    results += [x * y for x in operands for y in operands]
+    results += [-x for x in operands]
+    for x in operands:
+        results += [dtot(x), apply_op(FIELD_237, x), delta_u(x), delta_theta(x)]
+        results += [partial(x, var) for var in SUPER_VARIABLES]
+    for r in results:
+        assert all(type(c) is Fraction and c for c in r.terms.values()), r.terms
 
 
 # -- substitution -------------------------------------------------------------
