@@ -37,6 +37,7 @@ from .linwin import (
     F1,
     DEFAULT_LADDER,
     Echelon,
+    Kernel,
     OperatorMatrix,
     PublishedReps,
     Row,
@@ -44,14 +45,12 @@ from .linwin import (
     StabilizationReport,
     Window,
     enumerate_piece_basis,
-    nullspace,
     publish_reps,
     quotient_representatives,
     rank_of,
     rep_coordinates,
     sparse,
     stabilized_dims,
-    transpose,
     window_reps,
 )
 from .specseq import PageEntry
@@ -82,8 +81,9 @@ class PieceHomology:
     reps are (coordinate vector, monomial-or-None) pairs; relation_rows
     are Rows spanning everything the classes are taken modulo (coboundaries
     plus any presentation relations), not reduced and not independent in
-    general.  cocycle_rank and boundary_rank are the dimensions of the
-    lifted kernel and of that relation span.
+    general.  cocycle_rank, read off the one elimination of the outgoing
+    map, and boundary_rank are the dimensions of the lifted kernel and of
+    that relation span.
     """
     kind: str
     bidegree: Bidegree
@@ -134,9 +134,9 @@ def _node(kind: str, p: int, d: int, c: int):
 
 def _cocycles(kind: str, p: int, d: int,
               outs: Sequence[Tuple[OperatorMatrix, int]]) -> List[Row]:
-    """Joint kernel of the outgoing matrices, each modulo the presentation
-    of its codomain: the columns are reduced against one Echelon of it and
-    stacked, each later codomain placed below the one before."""
+    """Columns of the map cutting out the joint kernel of the outgoing
+    matrices, each modulo the presentation of its codomain: reduced against
+    one Echelon of it and stacked, each later codomain below the one before."""
     stacked = [()] * len(outs[0][0].domain)
     shift = 0
     for op, count in outs:
@@ -148,7 +148,7 @@ def _cocycles(kind: str, p: int, d: int,
         stacked = [top + tuple((i + shift, x) for i, x in col)
                    for top, col in zip(stacked, cols)]
         shift += len(op.codomain)
-    return nullspace(transpose(stacked), len(stacked))
+    return stacked
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +158,11 @@ def piece_homology(kind: str, p: int, d: int, c: int) -> PieceHomology:
         raise ValueError(f"unknown complex kind {kind!r}")
     basis = enumerate_piece_basis(Bidegree(p, d), c, kind in _LAMBDA_KINDS)
     outs, image = _node(kind, p, d, c)
-    kernel = _cocycles(kind, p, d, outs)
-    # unreduced: quotient_representatives reduces the relations once
+    kernel = Kernel(_cocycles(kind, p, d, outs))
+    # unreduced: quotient_representatives reduces the relations once, and
+    # runs the kernel's one elimination, whose rank len(kernel) then reads
     relations = tuple(row for row in (*image, *_presentation_rows(kind, p, d, c)) if row)
     reps = quotient_representatives(basis, kernel, relations)
-    # a canonical kernel basis is independent, so its length is the rank
     return PieceHomology(
         kind=kind, bidegree=Bidegree(p, d), ucount=c, basis=basis,
         cocycle_rank=len(kernel), boundary_rank=len(kernel) - len(reps),

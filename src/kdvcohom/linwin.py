@@ -16,9 +16,10 @@ pivot, and rows are combined fraction-free by cross-multiplication.
 Fractions appear only where Rows go in (scaled once by the lcm of their
 denominators; an entry that is not an int or a Fraction raises TypeError)
 and come out (divided by the pivot entry, or by the scale of a remainder).
-rref, reduce_against, in_span, nullspace, intersect_with_coordinates and
-quotient_representatives take and return Rows, rank_of and added_pivots
-take Rows, and all of them are thin views of it.  Every coordinate is one
+rref, reduce_against, in_span, nullspace and intersect_with_coordinates
+take and return Rows, rank_of and added_pivots take Rows; all of them, and
+a Kernel (the space a map cuts out, which quotient_representatives takes
+in place of spanning Rows), are thin views of it.  Every coordinate is one
 exact solve, quotient_coordinates (solve is its one-vector case).  Matrix
 products run on ints the same way: OperatorMatrix.apply_all scales the
 columns it reads once per call and builds a Fraction only for a nonzero
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra import Bidegree, DiffPoly, Monomial, _integers
 
@@ -431,6 +432,47 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
     return [(*v, (j, F1)) for j, v in kernel.items()]
 
 
+def _integer_columns(cols: Dict[int, Row]) -> Tuple[Dict[int, List[Tuple[int, int]]], int]:
+    """The columns as (row, int) pairs over one common denominator, and it."""
+    scaled = {j: _integers(col) for j, col in cols.items()}
+    den_c = lcm(*[den for _, den in scaled.values()])
+    return {j: [(i, x * (den_c // den)) for i, x in col.items()]
+            for j, (col, den) in scaled.items()}, den_c
+
+
+def _product(cols: Dict[int, List[Tuple[int, int]]], v: Dict[int, int]) -> Dict[int, int]:
+    acc: Dict[int, int] = {}   # the sum over j of v[j] times column j
+    for j, x in v.items():
+        for i, c in cols[j]:
+            acc[i] = acc.get(i, 0) + x * c
+    return acc
+
+
+class Kernel:
+    """The kernel of the map with the columns cols, one per ambient
+    coordinate, read as an Echelon is.  contains is one integer product with
+    the columns, scaled once over a common denominator, so e_j lies in it
+    exactly when column j is empty; len reads the rank of one Echelon of the
+    map's rows, built on first use; rows() is built only when read."""
+
+    def __init__(self, cols: Sequence[Row]):
+        self._cols = tuple(cols)
+        self._ints = self._map = None
+
+    def __len__(self) -> int:
+        if self._map is None:
+            self._map = Echelon(transpose(self._cols))
+        return len(self._cols) - len(self._map)
+
+    def contains(self, row: Row) -> bool:
+        if self._ints is None:
+            self._ints = _integer_columns(dict(enumerate(self._cols)))[0]
+        return not any(_product(self._ints, _integers(row)[0]).values())
+
+    def rows(self) -> List[Row]:
+        return Echelon(nullspace(transpose(self._cols), len(self._cols))).rows()
+
+
 def intersect_with_coordinates(rows: Sequence[Row], allowed_idx) -> List[Row]:
     """Basis of span(rows) intersected with {v : v_j = 0 for j not allowed}.
 
@@ -474,17 +516,10 @@ class OperatorMatrix:
         the call: nothing is added to the shared matrix.
         """
         ints = [_integers(vec) for vec in vecs]
-        touched = {j for v, _ in ints for j in v}
-        scaled = {j: _integers(self.cols[j]) for j in touched}
-        den_c = lcm(*[den for _, den in scaled.values()])
-        cols = {j: [(i, x * (den_c // den)) for i, x in col.items()]
-                for j, (col, den) in scaled.items()}
+        cols, den_c = _integer_columns({j: self.cols[j] for v, _ in ints for j in v})
         out = []
         for v, den in ints:
-            acc: Dict[int, int] = {}
-            for j, x in v.items():
-                for i, c in cols[j]:
-                    acc[i] = acc.get(i, 0) + x * c
+            acc = _product(cols, v)
             den *= den_c
             out.append(tuple((i, Fraction(acc[i], den)) for i in sorted(acc) if acc[i]))
         return out
@@ -539,23 +574,23 @@ class HomologyDims(NamedTuple):
     homology: int
 
 
-def quotient_representatives(ambient: SliceBasis, space_rows: Sequence[Row],
+def quotient_representatives(ambient: SliceBasis, space: Union[Kernel, Sequence[Row]],
                              relation_rows: Sequence[Row]):
-    """Deterministic transversal of span(space)/span(relations).
+    """Deterministic transversal of space/span(relations).
 
-    The relation rows may be any spanning set (repeats, zero rows): one
-    echelon reduces them, is checked to lie in the space and is extended by
-    each accepted candidate, so only their span matters.  Preference is
-    given to single monomials in canonical order, so whenever the quotient
-    admits a monomial transversal the representatives are plain monomials;
-    otherwise reduced space rows fill the remainder.
-
+    The space is a Kernel or spanning Rows; the relation rows, any spanning
+    set (repeats, zero rows), are each checked to lie in it, then one
+    echelon reduces them and is extended by each accepted candidate.
+    Preference is given to single monomials in canonical order, so whenever
+    the quotient admits a monomial transversal the representatives are
+    plain monomials; otherwise reduced space rows fill the remainder.
     Returns a list of (Row, monomial-or-None) pairs.
     """
-    space = Echelon(space_rows)
-    acc = Echelon(relation_rows)
-    if not all(space.contains(row) for row in acc.rows()):
+    if not isinstance(space, Kernel):
+        space = Echelon(space)
+    if not all(space.contains(row) for row in relation_rows):
         raise CompositionError("relations are not contained in the space")
+    acc = Echelon(relation_rows)
     target = len(space) - len(acc)
     reps = []
     for j, m in enumerate(ambient.monomials):
@@ -564,7 +599,7 @@ def quotient_representatives(ambient: SliceBasis, space_rows: Sequence[Row],
         e = ((j, F1),)
         if space.contains(e) and acc.add(e):
             reps.append((e, m))
-    for row in space.rows():
+    for row in space.rows() if len(reps) < target else ():
         if len(reps) >= target:
             break
         if acc.add(row):

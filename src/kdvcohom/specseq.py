@@ -20,9 +20,9 @@ every page differential and the limit page are read off one
 filtration-ordered pairing per slice, a cached property of the slice, as
 persistent homology reads the spectral sequence of a filtered complex off
 a single reduction (Edelsbrunner, Letscher and Zomorodian 2002; Basu and
-Parida 2017).  The spans Z_r and B_{r-1} are built only where a
-representative or a relation is read, and a page whose representatives do
-not number its dimension raises.
+Parida 2017).  Z_r goes to the transversal as the Kernel of z_cols, and
+B_{r-1} and Z_{r-1} are spanned only where a relation is read; a page
+whose representatives do not number its dimension raises.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .linwin import (
     CompositionError,
+    F1,
     HomologyDims,
+    Kernel,
     OperatorMatrix,
     PublishedReps,
     Row,
@@ -179,26 +181,29 @@ class FilteredSlice:
         return self.max_level() - self.min_level() + 1
 
 
-def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
-    """Basis rows of Z_r at filtration p, degree n.
-
-    Z_r is the set of vectors of F^p whose differential lands in F^{p+r}.
-    """
-    if n not in fs.bases:
-        return []
-    idx = fs.level_indices(n, p)
-    if not idx:
-        return []
+def z_cols(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
+    """Columns of the map whose kernel is Z_r at filtration p, degree n,
+    the vectors of F^p whose differential lands in F^{p+r}: at level >= p
+    the band [p, p+r) of d (rows below p vanish there by the filtration
+    axiom), below p a unit entry in a row m + j past the m codomain rows,
+    which pins coordinate j to zero."""
     d = fs.diffs.get(n)
-    band = []   # the columns at idx, cut to the codomain levels [p, p+r)
-    if d is not None and len(d.codomain):
+    m = len(d.codomain) if d is not None else 0
+    levels = fs.levels.get(n, ())
+    if m and any(lv >= p for lv in levels):
         fs.require_inside([n])
-        lv_cod = fs.levels[n + 1]
-        # rows strictly below level p vanish on F^p columns by the validated
-        # filtration axiom, so only the band [p, p+r) constrains anything
-        band = [tuple((i, x) for i, x in d.cols[j] if p <= lv_cod[i] < p + r)
-                for j in idx]
-    kern = nullspace(transpose(band), len(idx))
+    lv_cod = fs.levels.get(n + 1, ())
+    return [((m + j, F1),) if lv < p
+            else tuple((i, x) for i, x in d.cols[j] if p <= lv_cod[i] < p + r) if m
+            else ()
+            for j, lv in enumerate(levels)]
+
+
+def z_rows(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
+    """Basis rows of Z_r at filtration p, degree n: the nullspace of the
+    z_cols of F^p, the pinned columns left out rather than eliminated."""
+    cols, idx = z_cols(fs, r, p, n), fs.level_indices(n, p)
+    kern = nullspace(transpose([cols[j] for j in idx]), len(idx))
     return [tuple((idx[k], x) for k, x in v) for v in kern]
 
 
@@ -266,7 +271,7 @@ def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
     dim = sum(g is None or g >= r for g in fs._pairing.get((n, p), ()))
     if not dim:
         return PageEntry(r, p, q, 0, (), basis, fs)
-    reps = quotient_representatives(basis, z_rows(fs, r, p, n),
+    reps = quotient_representatives(basis, Kernel(z_cols(fs, r, p, n)),
                                     _relation_rows(fs, r, p, n))
     if len(reps) != dim:
         raise CompositionError(

@@ -22,6 +22,7 @@ from kdvcohom.linwin import (
     DEFAULT_LADDER,
     Echelon,
     HomologyDims,
+    Kernel,
     OperatorMatrix,
     SliceBasis,
     Window,
@@ -538,6 +539,30 @@ def test_quotient_rejects_relations_outside_space():
     e1 = [sparse([F(0), F(1)])]
     with pytest.raises(CompositionError):
         quotient_representatives(amb, e0, e1)
+
+
+def test_kernel_without_monomials_reads_its_rows():
+    # x0 + x1 = 0 cuts out the span of e0 - e1, which holds no monomial, so
+    # the transversal is the reduced kernel row
+    amb = abstract_basis(2)
+    kernel = Kernel([((0, F(1)),), ((0, F(1)),)])
+    diff = ((0, F(1)), (1, F(-1)))
+    assert len(kernel) == 1 and kernel.rows() == [diff]
+    assert quotient_representatives(amb, kernel, []) == [(diff, None)]
+    assert quotient_representatives(amb, kernel, [((0, F(-2)), (1, F(2)))]) == []
+
+
+def test_kernel_contains_over_the_common_denominator():
+    # x0/2 + x1/3 + x2/6: e0 - e1 - e2 lies in the kernel only over the
+    # common denominator 6 of the columns, and e1 - e2 maps to a single sixth
+    amb = abstract_basis(3)
+    kernel = Kernel([((0, F(1, 2)),), ((0, F(1, 3)),), ((0, F(1, 6)),)])
+    assert len(kernel) == 2
+    assert kernel.contains(((0, F(1)), (1, F(-1)), (2, F(-1))))
+    assert quotient_representatives(amb, kernel, [((0, F(1)), (1, F(-1)), (2, F(-1)))]) \
+        == [(((0, F(1)), (2, F(-3))), None)]
+    with pytest.raises(CompositionError, match="not contained"):
+        quotient_representatives(amb, kernel, [((1, F(1)), (2, F(-1)))])
 
 
 # -- stabilization -------------------------------------------------------------

@@ -6,7 +6,9 @@ and its pivots, the rank, the canonical kernel basis, the exact remainder
 of a vector against a reduced basis, the particular solution with free
 variables set to zero, the unique class coordinates of many vectors at
 once, the intersection of a row space with a coordinate subspace, and
-the size of a quotient transversal taken modulo unreduced relations.
+the size of a quotient transversal taken modulo unreduced relations, and
+the transversal of a Kernel, the space a map cuts out, against the one of
+its spanned basis.
 Entries mix Fractions and ints, small and wide, and every result must
 come back as Fractions.  Matrices are drawn dense, go in through sparse()
 and come back through dense().
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from kdvcohom.algebra import Bidegree, Monomial
 from kdvcohom.linwin import (
     CompositionError,
+    Kernel,
     SliceBasis,
     dense,
     in_span,
@@ -33,6 +36,7 @@ from kdvcohom.linwin import (
     rref,
     solve,
     sparse,
+    transpose,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -248,3 +252,44 @@ def test_quotient_representatives_reduce_any_spanning_relations(rows, data):
     if outside:
         with pytest.raises(CompositionError):
             quotient_representatives(ambient, space, relations + [((outside[0], F(1)),)])
+
+
+# the entries of a map: zeros, ints, and Fractions over the denominators 2, 3 and 7
+st_map_entry = st.one_of(st.just(F(0)), st.just(F(0)), st.integers(-3, 3),
+                         st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 7])))
+st_nonzero = st_map_entry.filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 5), st.booleans()), st.data())
+def test_kernel_transversal_matches_its_spanned_basis(shape, data):
+    m, n, full = shape
+    matrix = data.draw(st.lists(st.lists(st_map_entry, min_size=n, max_size=n),
+                                min_size=m, max_size=m))
+    if full:
+        # no empty column, so no monomial lies in the kernel and the
+        # transversal is read off Kernel.rows()
+        matrix.append(data.draw(st.lists(st_nonzero, min_size=n, max_size=n)))
+    cols = [sparse(col) for col in zip(*matrix)]
+    basis = nullspace(transpose(cols), n)
+    kernel = Kernel(cols)
+    assert len(kernel) == n - rank_of(cols) == len(basis)
+    # relations: combinations of the kernel basis, one repeated, and zero rows
+    coeffs = data.draw(st.lists(
+        st.lists(st_map_entry, min_size=len(basis), max_size=len(basis)), max_size=3))
+    combos = [[sum((c * dict(v).get(j, F(0)) for c, v in zip(cs, basis)), F(0))
+               for j in range(n)] for cs in coeffs]
+    relations = [sparse(v) for v in combos + combos[:1]] + [()] * data.draw(st.integers(0, 2))
+    ambient = SliceBasis(Bidegree(0, 0), None, tuple(Monomial(lam=j) for j in range(n)))
+    reps = quotient_representatives(ambient, kernel, relations)
+    assert reps == quotient_representatives(ambient, basis, relations)
+    assert kernel.rows() == rref(basis)[0]
+    # against sympy: every representative lies in the kernel, and they are
+    # independent modulo the relations and as many as the quotient's dimension
+    vecs = [dense(row, n) for row, _ in reps]
+    assert all(not any(to_sympy(matrix) * to_sympy([v]).T) for v in vecs)
+    rank_rel = sympy_rank(combos)
+    assert sympy_rank(vecs + combos) == len(reps) + rank_rel
+    assert len(reps) == n - to_sympy(matrix).rank() - rank_rel
+    if full:
+        assert all(mono is None for _, mono in reps)
