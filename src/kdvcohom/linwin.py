@@ -450,19 +450,19 @@ def _product(cols: Dict[int, List[Tuple[int, int]]], v: Dict[int, int]) -> Dict[
 
 class Kernel:
     """The kernel of the map with the columns cols, one per ambient
-    coordinate, read as an Echelon is.  contains is one integer product with
-    the columns, scaled once over a common denominator, so e_j lies in it
-    exactly when column j is empty; len reads the rank of one Echelon of the
-    map's rows, built on first use; rows() is built only when read."""
+    coordinate, read as an Echelon is: contains is one integer product with
+    the columns over a common denominator (e_j lies in it when column j is
+    empty), len reads the rank of one Echelon of the columns (cheaper than a
+    stacked map's rows), built on first use, and rows() is built if read."""
 
     def __init__(self, cols: Sequence[Row]):
         self._cols = tuple(cols)
-        self._ints = self._map = None
+        self._ints = self._rank = None
 
     def __len__(self) -> int:
-        if self._map is None:
-            self._map = Echelon(transpose(self._cols))
-        return len(self._cols) - len(self._map)
+        if self._rank is None:
+            self._rank = len(Echelon(self._cols))
+        return len(self._cols) - self._rank
 
     def contains(self, row: Row) -> bool:
         if self._ints is None:
