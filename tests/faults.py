@@ -10,7 +10,7 @@ checks that the copy is the package the tests import and that every
 named test passes on it unchanged, then plants one fault at a time and
 runs only that fault's tests, with a fixed hypothesis seed.  It prints
 one line per fault and exits 1 when a clean test fails or a fault leaves
-one of its named tests passing.
+one of its named tests passing, 2 for a fault name it does not know.
 
 tests/test_faults.py checks, as part of the suite, that every anchor
 still occurs exactly once and that every named test exists, so a change
@@ -89,6 +89,10 @@ def failing(root: Path, ids: Iterable[str]) -> Tuple[Set[str], str]:
 
 
 def main(names) -> int:
+    unknown = set(names) - {f.name for f in FAULTS}
+    if unknown:
+        print(f"unknown faults {sorted(unknown)}; known: {[f.name for f in FAULTS]}")
+        return 2
     faults = [f for f in FAULTS if not names or f.name in names]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
