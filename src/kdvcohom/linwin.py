@@ -8,11 +8,12 @@ piece preserved by the pencil differentials.
 Vectors over a slice basis are Rows: tuples of (column, nonzero Fraction)
 pairs in increasing column order, from the columns of an OperatorMatrix to
 the rows of an echelon form.  Every elimination runs through one kernel,
-the Echelon class: a span kept in fully reduced row echelon form, pivoting
-on the first nonzero column in the canonical monomial order.  Inside it
-the arithmetic is on Python ints only: each stored row is a primitive
-integer row (gcd 1, positive pivot entry), nonzero on no other row's
-pivot, and rows are combined fraction-free by cross-multiplication.
+the Echelon class: a span kept in row echelon form, pivoting on the first
+nonzero column in the canonical monomial order, and fully reduced only
+when its rows are read.  Inside it the arithmetic is on Python ints only:
+each stored row is a primitive integer row (gcd 1, positive pivot entry),
+zero on the pivots of the rows stored before it and never rewritten, and
+rows are combined fraction-free by cross-multiplication.
 Fractions appear only where Rows go in (scaled once by the lcm of their
 denominators; an entry that is not an int or a Fraction raises TypeError)
 and come out (divided by the pivot entry, or by the scale of a remainder).
@@ -36,6 +37,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -254,18 +256,18 @@ def _fractions(v: Dict[int, int], den: int) -> Row:
 
 
 class Echelon:
-    """A span held as sparse integer rows in fully reduced row echelon form.
+    """A span held as sparse integer rows in row echelon form.
 
     Rows are col -> int dicts keyed by their pivot, the first nonzero
     column.  The entries of a row have gcd 1 and its pivot entry is
-    positive; no row is nonzero on another row's pivot.  Dividing each row
-    by its pivot entry gives the reduced row echelon form, which is unique,
-    so the integer rows are too.  Rows go in one at a time as Rows, scaled
-    once by the lcm of their denominators; from there on every step is
-    fraction-free (Bareiss 1968): a row is cleared at a pivot by
-    cross-multiplying with the pivot row, never by dividing.  Extending a
-    span never repeats the work already done on it and never scans a
-    structural zero, and the form reached does not depend on the order the
+    positive; each row is zero on the pivots of the rows stored before it,
+    and a stored row is never rewritten.  Rows go in one at a time as Rows,
+    scaled once by the lcm of their denominators; from there on every step
+    is fraction-free (Bareiss 1968): a row is cleared at a pivot by
+    cross-multiplying with the pivot row, never by dividing.  Ranks,
+    pivots, contains and reduce need no more, since a remainder that is
+    zero on every pivot is unique.  rows() back-substitutes the reduced row
+    echelon form, which is unique, so it does not depend on the order the
     rows came in.  This is the only place in the package where multiples
     of rows are subtracted.
     """
@@ -309,10 +311,20 @@ class Echelon:
     def _reduced(self, row: Row) -> Tuple[Dict[int, int], int]:
         """(v, den) with v / den == row minus its component in the span."""
         v, den = _integers(row)
-        # a pivot row is zero on every other pivot, so one pass suffices
-        for pc in [j for j in v if j in self._rows]:
-            v, a = self._cleared(v, self._rows[pc], pc)
-            den *= a
+        rows = self._rows
+        # a stored row has entries only right of its pivot, so clearing the
+        # pivot columns in increasing order never meets one already cleared
+        heap = [j for j in v if j in rows]
+        heapify(heap)
+        while heap:
+            pc = heappop(heap)
+            if pc in v:
+                r = rows[pc]
+                v, a = self._cleared(v, r, pc)
+                den *= a
+                for j in r:
+                    if j in rows and j in v:
+                        heappush(heap, j)
         return v, den
 
     def add(self, row: Row) -> bool:
@@ -327,9 +339,6 @@ class Echelon:
             return None
         v = self._primitive(v)
         pc = min(v)
-        for opc, other in self._rows.items():
-            if pc in other:
-                self._rows[opc] = self._primitive(self._cleared(other, v, pc)[0])
         self._rows[pc] = v
         return pc
 
@@ -344,16 +353,25 @@ class Echelon:
         return sorted(self._rows)
 
     def rows(self) -> List[Row]:
-        """The rows in pivot order, each divided by its pivot entry."""
-        return [_fractions(self._rows[pc], self._rows[pc][pc]) for pc in self.pivots()]
+        """The reduced row echelon form, in pivot order: each stored row,
+        from the highest pivot down, cleared by the rows already reduced
+        (zero on every other pivot) and divided by its pivot entry."""
+        done: Dict[int, Dict[int, int]] = {}
+        for pc in sorted(self._rows, reverse=True):
+            v = dict(self._rows[pc])
+            for j in [j for j in v if j in done]:
+                v = self._cleared(v, done[j], j)[0]
+            done[pc] = self._primitive(v)
+        return [_fractions(v, v[pc]) for pc, v in sorted(done.items())]
 
 
 def rref(rows: Sequence[Row]):
     """Reduced row echelon form of a list of Rows.
 
     Returns (nonzero rows, pivot column list), both in pivot order; the
-    pivot of a row is its first nonzero column.  The form is the one an
-    Echelon reaches on the rows; nothing in the package calls it.
+    pivot of a row is its first nonzero column.  The form is the one
+    Echelon.rows() reads, whatever the order of the rows; nothing in the
+    package calls it.
     """
     ech = Echelon(rows)
     return ech.rows(), ech.pivots()

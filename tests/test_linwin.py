@@ -249,14 +249,26 @@ st_int_matrix = st.integers(1, 4).flatmap(
         min_size=1, max_size=5))
 
 
-def assert_integer_form(ech):
-    """Stored rows are primitive int rows with a positive pivot entry, and
-    no row is nonzero on another row's pivot."""
+def assert_forward_form(ech):
+    """Stored rows, in insertion order, are primitive int rows with a
+    positive pivot entry, each zero on the pivots stored before it."""
+    before = set()
     for pc, row in ech._rows.items():
         assert min(row) == pc and row[pc] > 0
         assert all(type(x) is int and x for x in row.values())
         assert math.gcd(*row.values()) == 1
-        assert not any(j in ech._rows for j in row if j != pc)
+        assert not before & set(row)
+        before.add(pc)
+
+
+def assert_reduced_form(rows):
+    """Each row starts with a 1 at its pivot and no row is nonzero on
+    another row's pivot."""
+    pivots = [row[0][0] for row in rows]
+    assert pivots == sorted(set(pivots))
+    for row in rows:
+        assert row[0][1] == 1
+        assert not any(j in pivots for j, _ in row[1:])
 
 
 @settings(max_examples=60)
@@ -266,14 +278,29 @@ def test_echelon_ignores_row_order(rows, rnd):
     rnd.shuffle(shuffled)
     ech = Echelon(rows_of(rows))
     again = Echelon(rows_of(shuffled))
-    assert_integer_form(ech)
-    assert_integer_form(again)
-    assert again._rows == ech._rows
+    assert_forward_form(ech)
+    assert_forward_form(again)
+    assert_reduced_form(ech.rows())
     red, piv = rref([sparse([F(x) for x in row]) for row in rows])
     assert again.rows() == ech.rows() == red
     assert all(type(x) is Fraction for row in ech.rows() for _, x in row)
     assert again.pivots() == ech.pivots() == piv
     assert len(ech) == rank_of(rows_of(rows))
+
+
+def test_echelon_never_rewrites_a_stored_row():
+    # the later pivots 1 and 2 lie on the first row; rows() reads the
+    # reduced form off copies, so neither an insert nor a read touches it
+    ech = Echelon([sparse([2, 4, 6])])
+    first = ech._rows[0]
+    assert first == {0: 1, 1: 2, 2: 3}
+    assert ech.add(sparse([0, 1, 0])) and ech.add(sparse([0, 1, 1]))
+    assert dense_rows(ech.rows(), 3) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)],
+                                         [F(0), F(0), F(1)]]
+    assert ech._rows == {0: {0: 1, 1: 2, 2: 3}, 1: {1: 1}, 2: {2: 1}}
+    assert ech._rows[0] is first
+    # clearing e0 at pivot 0 leaves entries at the later pivots 1 and 2
+    assert ech.contains(sparse([1, 0, 0])) and ech.reduce(sparse([1, 0, 0])) == ()
 
 
 def test_integer_entries_give_fractions():

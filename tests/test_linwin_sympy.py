@@ -8,7 +8,9 @@ variables set to zero, the unique class coordinates of many vectors at
 once, the intersection of a row space with a coordinate subspace, and
 the size of a quotient transversal taken modulo unreduced relations, and
 the transversal of a Kernel, the space a map cuts out, against the one of
-its spanned basis.
+its spanned basis, and an Echelon read between inserts: each answer is
+the one for the rows inserted so far, and each insert adds the pivot of
+its row's remainder.
 Entries mix Fractions and ints, small and wide, and every result must
 come back as Fractions.  Matrices are drawn dense, go in through sparse()
 and come back through dense().
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from kdvcohom.algebra import Bidegree, Monomial
 from kdvcohom.linwin import (
     CompositionError,
+    Echelon,
     Kernel,
     SliceBasis,
     dense,
@@ -293,3 +296,46 @@ def test_kernel_transversal_matches_its_spanned_basis(shape, data):
     assert len(reps) == n - to_sympy(matrix).rank() - rank_rel
     if full:
         assert all(mono is None for _, mono in reps)
+
+
+def sympy_remainder(rows, v):
+    """v minus its component in the span of rows: v - sum v[pc] * row_pc
+    over the reduced rows, as Fractions."""
+    want = to_sympy([v])
+    if rows:
+        red, pivots = to_sympy(rows).rref()
+        for i, pc in enumerate(pivots):
+            want -= v[pc] * red.row(i)
+    return [to_fraction(x) for x in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_echelon_between_inserts_matches_sympy(n, data):
+    # forward-reduced rows answer every query; rows() back-substitutes on
+    # demand, so reads and inserts are mixed in a random order
+    ech, inserted = Echelon(), []
+    ops = data.draw(st.lists(st.tuples(
+        st.sampled_from(["add", "insert", "contains", "reduce", "rows"]),
+        st.lists(st_map_entry, min_size=n, max_size=n)), min_size=1, max_size=12))
+    for op, v in ops:
+        if op == "rows":
+            got = ech.rows()
+            want = sympy_rref_rows(to_sympy(inserted)) if inserted else ([], [])
+            assert ([dense(r, n) for r in got], ech.pivots()) == want
+            assert all(map(is_fraction_row, got))
+            continue
+        rem = sympy_remainder(inserted, v)
+        lead = next((j for j, x in enumerate(rem) if x), None)
+        if op == "add":
+            assert ech.add(sparse(v)) == (lead is not None)
+        elif op == "insert":
+            assert ech._insert(sparse(v)) == lead
+        elif op == "contains":
+            assert ech.contains(sparse(v)) == (lead is None)
+        else:
+            got = ech.reduce(sparse(v))
+            assert dense(got, n) == rem and is_fraction_row(got)
+        if op in ("add", "insert"):
+            inserted.append(v)
+        assert len(ech) == sympy_rank(inserted)
