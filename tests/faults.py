@@ -84,6 +84,10 @@ FAULTS = (
     Fault("d1-at-own-lambda-power", "kdvpencil.py",
           "c - a), a + 1, -1)", "c - a), a, -1)",
           ("tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation",)),
+    Fault("lift-sign-dropped", "linwin.py",
+          "x if plus else -x", "x",
+          ("tests/test_linwin.py::test_lambda_lift_lays_blocks_at_their_offsets",
+           "tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation")),
     Fault("lift-offset-dropped", "linwin.py",
           "(i + off, x if plus else -x)", "(i, x if plus else -x)",
           ("tests/test_linwin.py::test_lambda_lift_lays_blocks_at_their_offsets",
