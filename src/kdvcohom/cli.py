@@ -42,9 +42,9 @@ _SCHEMA = 1
 # verify, pages and bh refuse a run whose pieces hold more monomials than
 # this.  The largest size that the defaults, the acceptance battery, the
 # demos and the benchmark reach is 31583 (the battery's pages, to total 6
-# over the default ladder), a lower bound, since the degree-8 codomains of
-# the top slice matrices (11446 more) lie outside page_spots; bh --kind bh_F
-# near the budget runs for minutes.
+# over the default ladder; page_spots counts every piece the slices hold,
+# an upper bound on the 30827 monomials built); bh --kind bh_F near the
+# budget runs for minutes.
 _COST_BUDGET = 100_000
 
 
@@ -203,7 +203,8 @@ def _cmd_pages(args, parser) -> Tuple[dict, bool, str]:
         for p in range(n + 1):
             q = n - p
             counts = dict(zip(headers,
-                              windowed_page_counts(args.page, p, q, args.windows)))
+                              windowed_page_counts(args.page, p, q, args.windows,
+                                                   args.max_total)))
             entries.append({"p": p, "q": q, "counts": counts})
             if any(counts.values()):
                 row = " ".join(str(counts[h]).rjust(len(h)) for h in headers)

@@ -303,23 +303,28 @@ def pencil_filtered_slice(k: int, c: int, d_cap: Optional[int] = None) -> Filter
     pencil differential; together with the even-factor count it cuts the
     complex into finite pieces with no truncation anywhere.  The top slice
     maps into an empty one, which doubles as a check that the differential
-    really ends there.  A degree cap drops the tail of the complex; pages
-    are then only valid two degrees below the cap.
+    really ends there.  A degree cap that drops the tail of the complex
+    cuts the slice: its top degree keeps its basis but no differential out
+    of it is built, and pages are exact at every degree below that top.
     """
     bds = subcomplex_bidegrees(k)
-    if d_cap is not None:
-        bds = [bd for bd in bds if bd.d <= d_cap]
-    if not bds:
+    kept = [bd for bd in bds if d_cap is None or bd.d <= d_cap]
+    if not kept:
         return FilteredSlice((), {}, {}, {}, label=f"pencil k={k} c={c}")
-    degrees = tuple(bd.d for bd in bds)
+    cut = len(kept) < len(bds)
+    degrees = tuple(bd.d for bd in kept)
     bases = {}
     levels = {}
     diffs = {}
-    for bd in bds:
-        # the codomain of the top slice is the next piece basis, empty at
-        # the true top of the complex
-        diffs[bd.d] = dlambda_piece_matrix(bd.p, bd.d, c)
-        bases[bd.d] = diffs[bd.d].domain
+    for bd in kept:
+        if cut and bd.d == degrees[-1]:
+            # the very basis object the differential below maps into
+            bases[bd.d] = enumerate_piece_basis(bd, c)
+        else:
+            # at the true top of the complex the codomain is the empty
+            # next piece basis
+            diffs[bd.d] = dlambda_piece_matrix(bd.p, bd.d, c)
+            bases[bd.d] = diffs[bd.d].domain
         levels[bd.d] = tuple(bd.d - m.max_jet() for m in bases[bd.d].monomials)
     return FilteredSlice(degrees, bases, levels, diffs,
-                         label=f"pencil k={k} c={c}")
+                         label=f"pencil k={k} c={c}", cut=cut)

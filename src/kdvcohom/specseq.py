@@ -5,9 +5,10 @@ FilteredSlice (consecutive degrees, a monomial basis per degree, a
 filtration level per basis vector, the differential as exact matrices) and
 computes every page, page differential and the limit by honest linear
 algebra over the rationals.  Nothing is windowed here.  A FilteredSlice
-is a complete finite complex, or one cut off above: then its top
-differential leaves the slice, and only that degree's pages are out of
-reach.
+is a complete finite complex, or one cut off above: then its top degree
+keeps its basis and levels but no differential, and every reader of that
+degree raises, while the pages of every degree below it are exact (E_r at
+degree n reads only degrees n - 1, n and n + 1).
 
 Conventions: the filtration is decreasing, F^p is spanned by the basis
 vectors of level >= p, and the differential never lowers the level.  The
@@ -59,15 +60,17 @@ from .linwin import (
 class FilteredSlice:
     """One finite filtered complex: bases, levels and differentials by degree.
 
-    degrees must be consecutive.  diffs[n] maps degree n to n + 1; the top
-    degree maps into an empty basis, which asserts that the complex really
-    stops.  A slice is frozen: bases, levels and diffs are read-only
-    mappings over copies of what the constructor got, and the constructor
-    runs validate(), so an invalid slice cannot be built.  validate()
-    checks the shapes, the filtration axiom and that the differential
-    squares to zero, every composite d after d computed exactly in integer
-    arithmetic (OperatorMatrix.apply_all).  The pairing behind every page
-    dimension is a cached property, computed on first use.
+    degrees must be consecutive.  diffs[n] maps degree n to n + 1; where
+    n + 1 is not in the slice it maps into an empty basis, which asserts
+    that the complex really stops there.  A slice cut off above says so
+    with cut, and its top degree holds no differential.  A slice is frozen:
+    bases, levels and diffs are read-only mappings over copies of what the
+    constructor got, and the constructor runs validate(), so an invalid
+    slice cannot be built.  validate() checks the shapes, the filtration
+    axiom and that the differential squares to zero, every composite d
+    after d computed exactly in integer arithmetic (OperatorMatrix.apply_all).
+    The pairing behind every page dimension is a cached property, computed
+    on first use.
     """
 
     degrees: Tuple[int, ...]
@@ -75,6 +78,7 @@ class FilteredSlice:
     levels: Mapping[int, Tuple[int, ...]]
     diffs: Mapping[int, OperatorMatrix]
     label: str = ""
+    cut: bool = False
 
     def __post_init__(self):
         for name in ("bases", "levels", "diffs"):
@@ -94,6 +98,8 @@ class FilteredSlice:
             if d.domain.monomials != self.bases[n].monomials:
                 raise CompositionError(f"differential domain mismatch at {n}")
             nxt = self.bases.get(n + 1)
+            if (nxt is None and len(d.codomain)) or self.leaves_slice(n):
+                raise CompositionError(f"differential leaves the slice at degree {n}")
             if nxt is not None and d.codomain.monomials != nxt.monomials:
                 raise CompositionError(f"differential codomain mismatch at {n}")
             # the differential must not lower the filtration level
@@ -121,8 +127,8 @@ class FilteredSlice:
         entry; the columns go into one Echelon in the reverse order, and a
         column that adds a pivot is paired with it.  A paired vector never
         adds a pivot itself: its column lies in the span of the columns
-        numbered after it.  The columns of a degree that leaves the slice
-        are skipped, so the pairing of that degree is incomplete.
+        numbered after it.  The cut top of a slice has no columns, so the
+        pairing of that degree is incomplete.
         """
         order = sorted((lv, n, i) for n in self.degrees
                        for i, lv in enumerate(self.levels[n]))
@@ -130,7 +136,7 @@ class FilteredSlice:
         cols = []
         for _, n, i in reversed(order):
             d = self.diffs.get(n)
-            cols.append(() if d is None or self.leaves_slice(n) else
+            cols.append(() if d is None else
                         tuple(sorted((index[n + 1, j], x) for j, x in d.cols[i])))
         partner = {}
         for k, pc in zip(range(len(order) - 1, -1, -1), added_pivots(cols)):
@@ -143,16 +149,13 @@ class FilteredSlice:
         return MappingProxyType({key: tuple(gaps) for key, gaps in pairs.items()})
 
     def leaves_slice(self, n: int) -> bool:
-        """Whether the differential out of degree n maps outside the slice.
-
-        A truncated complex ends with such a degree; its top page spaces
-        are not computable, only the lower degrees are.
-        """
-        d = self.diffs.get(n)
-        return d is not None and len(d.codomain) > 0 and not self.bases.get(n + 1)
+        """Whether n is the cut top of the slice, whose differential is not
+        held: its page spaces and homology are not computable, those of
+        every lower degree are."""
+        return self.cut and self.degrees[-1:] == (n,)
 
     def require_inside(self, degrees: Iterable[int]) -> None:
-        """Raise ValueError at a degree whose differential leaves the slice."""
+        """Raise ValueError at the cut top of the slice."""
         for n in degrees:
             if self.leaves_slice(n):
                 raise ValueError(f"degree {n} is a truncation boundary of {self.label}")
@@ -190,7 +193,7 @@ def z_cols(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:
     d = fs.diffs.get(n)
     m = len(d.codomain) if d is not None else 0
     levels = fs.levels.get(n, ())
-    if m and any(lv >= p for lv in levels):
+    if any(lv >= p for lv in levels):
         fs.require_inside([n])
     lv_cod = fs.levels.get(n + 1, ())
     return [((m + j, F1),) if lv < p
@@ -266,7 +269,7 @@ def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
     basis = fs.bases.get(n)
     if basis is None or not basis.monomials:
         return PageEntry(r, p, q, 0, (), basis)
-    if fs.level_indices(n, p):
+    if fs.leaves_slice(n) and fs.level_indices(n, p):
         fs.require_inside([n])
     dim = sum(g is None or g >= r for g in fs._pairing.get((n, p), ()))
     if not dim:
@@ -312,6 +315,7 @@ def collapse_at(fs: FilteredSlice) -> int:
 
 def homology_at(fs: FilteredSlice, n: int) -> HomologyDims:
     """Exact kernel/image/homology dimensions of the complex at degree n."""
+    fs.require_inside([n])
     if n not in fs.bases:
         return HomologyDims(0, 0, 0)
     d_out = fs.diffs.get(n)

@@ -103,6 +103,28 @@ FAULTS = (
           "        return _poly({**self.terms, **{m: self.terms.get(m, _F0) - c\n"
           "                                       for m, c in other.terms.items()}})\n",
           ("tests/test_algebra.py::test_results_hold_only_nonzero_fractions",)),
+    # a cut slice holds no differential out of its top, so only the flag
+    # tells that degree apart from a true top
+    Fault("leaves-slice-ignores-cut", "specseq.py",
+          "        return self.cut and self.degrees[-1:] == (n,)\n",
+          "        d = self.diffs.get(n)\n"
+          "        return d is not None and len(d.codomain) > 0 and not self.bases.get(n + 1)\n",
+          ("tests/test_specseq.py::test_every_reader_of_a_cut_top_raises",
+           "tests/test_specseq.py::test_truncation_boundary_pages_raise",
+           "tests/test_specseq.py::test_validate_rejects_a_differential_that_leaves_the_slice")),
+    # a page at total n reads degree n + 1, so a slice cut at n leaves it
+    # on the boundary
+    Fault("position-reach-not-past-itself", "acceptance.py",
+          "reach = n + 1 if max_total is None", "reach = n if max_total is None",
+          ("tests/test_acceptance.py::test_windowed_page_count_matches_the_pages_report",
+           "tests/test_acceptance.py::test_page_counts_refuse_positions_past_the_truncation",
+           "tests/test_acceptance.py::test_page_counts_refuse_a_reach_outside_the_slices")),
+    # z_cols raises at the top only where the page is nonzero; an empty
+    # page there must raise too
+    Fault("page-boundary-test-dropped", "specseq.py",
+          "    if fs.leaves_slice(n) and fs.level_indices(n, p):\n"
+          "        fs.require_inside([n])\n", "",
+          ("tests/test_specseq.py::test_every_reader_of_a_cut_top_raises",)),
 )
 
 

@@ -230,8 +230,33 @@ def test_cost_budget_clears_the_battery_pages():
     sizes = [sum(piece_sizes_total(bd, top + max_total, True)
                  for bd in page_spots(max_total))
              for max_total in (4, 6)]
-    assert sizes == [13504, 31583]
+    assert sizes == [8425, 31583]
     assert 3 * sizes[-1] < _COST_BUDGET
+
+
+@pytest.mark.parametrize("max_total", [4, 6])
+def test_pages_cost_count_covers_the_pieces_built(monkeypatch, capsys, max_total):
+    # the pieces with l that a fresh pages run enumerates, slices and piece
+    # matrices built anew, hold no more monomials than the guard counts
+    import functools
+    from kdvcohom import acceptance, kdvpencil, linwin
+    built = set()
+    piece_basis = linwin._piece_basis
+
+    def recording(bd, c, lam):
+        if lam:
+            built.add((bd, c))
+        return piece_basis(bd, c, lam)
+
+    monkeypatch.setattr(linwin, "_piece_basis", recording)
+    monkeypatch.setattr(kdvpencil, "_PIECE_CACHE", {})
+    monkeypatch.setattr(acceptance, "pencil_filtered_slice", functools.lru_cache(None)(
+        kdvpencil.pencil_filtered_slice.__wrapped__))
+    rc, _ = run(capsys, "pages", "--max-total", str(max_total))
+    assert rc == 0
+    top = max(w.N + w.L for w in DEFAULT_LADDER) + max_total
+    counted = sum(piece_sizes_total(bd, top, True) for bd in page_spots(max_total))
+    assert counted >= sum(len(piece_basis(bd, c, True)) for bd, c in built) > 0
 
 
 def test_readme_sample_table_is_what_bh_prints(capsys):

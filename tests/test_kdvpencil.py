@@ -268,6 +268,29 @@ def test_pencil_slice_applies_no_pencil_to_monomials(monkeypatch):
         tuple(homology_at(pencil_filtered_slice(2, 6), n)) for n in fs.degrees]
 
 
+def test_cut_slice_stops_at_its_top_basis(monkeypatch):
+    from kdvcohom import linwin
+    enumerated = []
+    piece_basis = linwin._piece_basis
+
+    def recording(bd, c, lam):
+        enumerated.append(bd.d)
+        return piece_basis(bd, c, lam)
+
+    monkeypatch.setattr(linwin, "_piece_basis", recording)
+    monkeypatch.setattr(kdvpencil, "_PIECE_CACHE", {})
+    fs = pencil_filtered_slice.__wrapped__(2, 3, 5)
+    top = fs.degrees[-1]
+    assert top == 5 and fs.cut
+    assert top not in fs.diffs and top in fs.bases and len(fs.levels[top]) == fs.dim(top)
+    assert all(fs.diffs[n].codomain is fs.bases[n + 1] for n in fs.degrees[:-1])
+    assert enumerated and max(enumerated) == 5
+    # uncut, the top maps into the empty piece past it
+    whole = pencil_filtered_slice.__wrapped__(2, 3, 6)
+    assert not whole.cut and whole.degrees == pencil_filtered_slice(2, 3).degrees
+    assert len(whole.diffs[whole.degrees[-1]].codomain) == 0
+
+
 def test_pencil_filtered_slice_levels():
     fs = pencil_filtered_slice(0, 1)
     b = fs.bases[3]

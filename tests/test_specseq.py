@@ -280,6 +280,61 @@ def test_collapse_matches_the_differential_scan(k, c):
     assert collapse_at(fs) == _scan_collapse_at(fs)
 
 
+def test_every_reader_of_a_cut_top_raises():
+    fs = pencil_filtered_slice(2, 3, d_cap=5)
+    top = fs.degrees[-1]
+    assert fs.cut and top not in fs.diffs and fs.leaves_slice(top)
+    # every position of the top with F^p nonzero, empty pages included
+    for r in (1, 2, 3):
+        for p in sorted(set(fs.levels[top])):
+            with pytest.raises(ValueError, match="truncation boundary"):
+                page(fs, r, p, top - p)
+            with pytest.raises(ValueError, match="truncation boundary"):
+                z_rows(fs, r, p, top)
+    with pytest.raises(ValueError, match="truncation boundary"):
+        homology_at(fs, top)
+    assert homology_at(fs, top - 1) == homology_at(pencil_filtered_slice(2, 3), top - 1)
+    # the true top of an uncut slice maps into the empty piece, as always
+    whole = pencil_filtered_slice(2, 3)
+    assert not whole.cut and not len(whole.diffs[whole.degrees[-1]].codomain)
+    assert not any(whole.leaves_slice(n) for n in whole.degrees)
+
+
+def test_validate_rejects_a_differential_that_leaves_the_slice():
+    from kdvcohom.algebra import Bidegree
+    from kdvcohom.kdvpencil import D1
+    b0 = _basis(Bidegree(0, 0), ["u"])
+    b1 = _basis(Bidegree(1, 1), ["t1"])
+    d = operator_matrix(D1, b0, b1)
+    with pytest.raises(CompositionError, match="leaves the slice at degree 0"):
+        FilteredSlice(degrees=(0,), bases={0: b0}, levels={0: (0,)}, diffs={0: d})
+    # a cut slice holds no differential out of its top either
+    with pytest.raises(CompositionError, match="leaves the slice at degree 1"):
+        FilteredSlice(degrees=(0, 1), bases={0: b0, 1: b1}, levels={0: (0,), 1: (1,)},
+                      diffs={0: d, 1: operator_matrix(D1, b1, b1)}, cut=True)
+    fs = FilteredSlice(degrees=(0, 1), bases={0: b0, 1: b1}, levels={0: (0,), 1: (1,)},
+                       diffs={0: d}, cut=True)
+    assert fs.leaves_slice(1) and not fs.leaves_slice(0)
+    assert page(fs, 1, 0, 0).dim == 1
+
+
+@pytest.mark.parametrize("k", range(-1, 5))
+def test_pages_read_no_degree_past_the_next_one(k):
+    # E_r at total n reads degrees n - 1, n and n + 1 only, so a slice cut
+    # at n + 1 gives the very entries of the slice cut at 7
+    for c in range(7):
+        full = pencil_filtered_slice(k, c, d_cap=7)
+        for n in full.degrees:
+            if n > 5:
+                continue
+            near = pencil_filtered_slice(k, c, d_cap=n + 1)
+            for r in (1, 2, 3):
+                for p in range(full.min_level(), full.max_level() + 1):
+                    a, b = page(near, r, p, n - p), page(full, r, p, n - p)
+                    assert (a.dim, a.reps, a.relation_rows) == \
+                        (b.dim, b.reps, b.relation_rows), (c, r, p, n)
+
+
 def test_truncation_boundary_pages_raise():
     fs = pencil_filtered_slice(2, 3, d_cap=5)
     top = fs.degrees[-1]
