@@ -296,6 +296,13 @@ def d2_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
 
 
 @lru_cache(maxsize=None)
+def _piece_levels(p: int, d: int, c: int) -> Tuple[int, ...]:
+    """Filtration levels of the piece basis, one tuple for every cut of the
+    piece, so that its differentials' shared work is found at once."""
+    return tuple(d - m.max_jet() for m in enumerate_piece_basis(Bidegree(p, d), c).monomials)
+
+
+@lru_cache(maxsize=None)
 def pencil_filtered_slice(k: int, c: int, d_cap: Optional[int] = None) -> FilteredSlice:
     """The finite filtered complex of one even-count piece.
 
@@ -325,6 +332,6 @@ def pencil_filtered_slice(k: int, c: int, d_cap: Optional[int] = None) -> Filter
             # next piece basis
             diffs[bd.d] = dlambda_piece_matrix(bd.p, bd.d, c)
             bases[bd.d] = diffs[bd.d].domain
-        levels[bd.d] = tuple(bd.d - m.max_jet() for m in bases[bd.d].monomials)
+        levels[bd.d] = _piece_levels(bd.p, bd.d, c)
     return FilteredSlice(degrees, bases, levels, diffs,
                          label=f"pencil k={k} c={c}", cut=cut)

@@ -34,6 +34,7 @@ floating point, no probabilistic shortcuts.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -470,8 +471,11 @@ class Kernel:
     """The kernel of the map with the columns cols, one per ambient
     coordinate, read as an Echelon is: contains is one integer product with
     the columns over a common denominator (e_j lies in it when column j is
-    empty), len reads the rank of one Echelon of the columns (cheaper than a
-    stacked map's rows), built on first use, and rows() is built if read."""
+    empty), len reads the rank of the columns, built on first use, and
+    rows() is built if read.  A column that is a single entry in a row no
+    other column touches adds one to the rank without an elimination (it
+    is independent of the rest, which share none of its rows); the others
+    go into one Echelon (cheaper than a stacked map's rows)."""
 
     def __init__(self, cols: Sequence[Row]):
         self._cols = tuple(cols)
@@ -479,7 +483,11 @@ class Kernel:
 
     def __len__(self) -> int:
         if self._rank is None:
-            self._rank = len(Echelon(self._cols))
+            rest = self._cols
+            if any(len(col) == 1 for col in rest):
+                uses = Counter(i for col in rest for i, _ in col)
+                rest = [col for col in rest if len(col) != 1 or uses[col[0][0]] != 1]
+            self._rank = len(self._cols) - len(rest) + len(Echelon(rest))
         return len(self._cols) - self._rank
 
     def contains(self, row: Row) -> bool:

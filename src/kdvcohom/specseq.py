@@ -21,13 +21,18 @@ every page differential and the limit page are read off one
 filtration-ordered pairing per slice, a cached property of the slice, as
 persistent homology reads the spectral sequence of a filtered complex off
 a single reduction (Edelsbrunner, Letscher and Zomorodian 2002; Basu and
-Parida 2017).  Z_r goes to the transversal as the Kernel of z_cols, and
-B_{r-1} and Z_{r-1} are spanned only where a relation is read; a page
-whose representatives do not number its dimension raises.
+Parida 2017).  A column has entries only one degree up, so that reduction
+splits by degree: each differential's pairs, like its filtration check
+and its composite with the next differential, are computed once per
+matrix object and levels and shared by every slice holding them, as the
+cuts of one pencil piece do.  Z_r goes to the transversal as the Kernel
+of z_cols, and B_{r-1} and Z_{r-1} are spanned only where a relation is
+read; a page whose representatives do not number its dimension raises.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -56,6 +61,104 @@ from .linwin import (
 )
 
 
+# the columns of a differential that add a pivot, and the codomain vectors
+# whose pivots they add, in two aligned tuples
+Pairs = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+class _DegreeWork(weakref.ref):
+    """The checks and the pairs of one differential d between fixed levels.
+
+    A pencil piece differential is one cached OperatorMatrix, held with the
+    same level tuples by every cut of its piece, so what a slice derives
+    from d alone is done once and shared: the filtration axiom (checked
+    when the work is made), the persistence pairs of its columns (on first
+    use) and the vanishing of the composite with a next differential (the
+    one d2 it was last checked with).  The work is a weak reference to d:
+    _degree_work hands it out only while it points at d and only between
+    equal levels, a composite counts only for the very d2, and the store
+    forgets the work when d is collected.  So a slice built by hand is
+    checked as fully as before.
+    """
+
+    __slots__ = ("key", "levels", "squares_with", "_pairs")
+
+    def __new__(cls, d: OperatorMatrix, lv_dom: Tuple[int, ...],
+                lv_cod: Tuple[int, ...], n: int):
+        return super().__new__(cls, d, _forget)
+
+    def __init__(self, d: OperatorMatrix, lv_dom: Tuple[int, ...],
+                 lv_cod: Tuple[int, ...], n: int):
+        super().__init__(d, _forget)
+        # the differential must not lower the filtration level
+        for j, col in enumerate(d.cols):
+            for i, _ in col:
+                if lv_cod[i] < lv_dom[j]:
+                    raise CompositionError(
+                        f"level drops along the differential at degree {n}")
+        self.key = id(d)
+        self.levels = (lv_dom, lv_cod)
+        self.squares_with: Optional[OperatorMatrix] = None
+        self._pairs: Optional[Pairs] = None
+
+    def check_square(self, d: OperatorMatrix, d2: OperatorMatrix, n: int) -> None:
+        """Raise unless d2 after d is zero, computed exactly in integer
+        arithmetic (OperatorMatrix.apply_all) unless checked for this d2."""
+        if self.squares_with is not d2:
+            if any(d2.apply_all(d.cols)):
+                raise CompositionError(
+                    f"differential does not square to zero at degree {n}")
+            self.squares_with = d2
+
+    def pairs(self, d: OperatorMatrix, below: Pairs) -> Pairs:
+        """The columns of d that add a pivot and the codomain vectors whose
+        pivots they add; below holds the pairs of the differential into the
+        domain of d, in the same slice.
+
+        The codomain vectors are numbered by (level, index), so the pivot
+        of a reduced column (its first nonzero entry) is its lowest-level
+        entry, and the columns go into one Echelon by (level, index) from
+        the highest down.  A vector paired below never adds a pivot: its
+        column lies in the span of the columns numbered after it, since d
+        after d is zero.  So those columns are left out (the clearing of
+        Chen and Kerber 2011), and the pairs are the same as with them.
+        """
+        if self._pairs is None:
+            lv_dom, lv_cod = self.levels
+            cod_order = sorted(range(len(lv_cod)), key=lv_cod.__getitem__)
+            rank = [0] * len(lv_cod)
+            for k, j in enumerate(cod_order):
+                rank[j] = k
+            cleared = set(below[1])
+            cols = [i for i in sorted(range(len(lv_dom)), key=lv_dom.__getitem__)[::-1]
+                    if i not in cleared and d.cols[i]]
+            added = added_pivots(tuple(sorted((rank[j], x) for j, x in d.cols[i]))
+                                 for i in cols)
+            paired = [(i, cod_order[pc]) for i, pc in zip(cols, added) if pc is not None]
+            self._pairs = (tuple(i for i, _ in paired), tuple(j for _, j in paired))
+        return self._pairs
+
+
+# id(d) -> the work of the matrix d
+_WORK: Dict[int, _DegreeWork] = {}
+
+
+def _forget(work: _DegreeWork) -> None:
+    """Drop the work of a collected matrix, unless newer work took its key."""
+    if _WORK.get(work.key) is work:
+        del _WORK[work.key]
+
+
+def _degree_work(d: OperatorMatrix, lv_dom: Tuple[int, ...], lv_cod: Tuple[int, ...],
+                 n: int) -> _DegreeWork:
+    """The shared work of d between the levels lv_dom and lv_cod, made
+    (its level check run) when d is new or last came with other levels."""
+    work = _WORK.get(id(d))
+    if work is None or work() is not d or work.levels != (lv_dom, lv_cod):
+        work = _WORK[id(d)] = _DegreeWork(d, lv_dom, lv_cod, n)
+    return work
+
+
 @dataclass(frozen=True)
 class FilteredSlice:
     """One finite filtered complex: bases, levels and differentials by degree.
@@ -68,9 +171,11 @@ class FilteredSlice:
     constructor got, and the constructor runs validate(), so an invalid
     slice cannot be built.  validate() checks the shapes, the filtration
     axiom and that the differential squares to zero, every composite d
-    after d computed exactly in integer arithmetic (OperatorMatrix.apply_all).
-    The pairing behind every page dimension is a cached property, computed
-    on first use.
+    after d computed exactly in integer arithmetic (OperatorMatrix.apply_all);
+    the last two are done once per differential (_DegreeWork) for all the
+    slices that hold it between the same levels.  The pairing behind every
+    page dimension is a cached property, merged on first use from the pairs
+    of each differential.
     """
 
     degrees: Tuple[int, ...]
@@ -81,8 +186,12 @@ class FilteredSlice:
     cut: bool = False
 
     def __post_init__(self):
-        for name in ("bases", "levels", "diffs"):
+        for name in ("bases", "diffs"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        # tuple() returns a tuple as it is, so the level tuples of a piece
+        # stay shared between its cuts, and copies anything else
+        object.__setattr__(self, "levels", MappingProxyType(
+            {n: tuple(lv) for n, lv in self.levels.items()}))
         self.validate()
 
     def validate(self) -> None:
@@ -92,6 +201,8 @@ class FilteredSlice:
         for n in self.degrees:
             if len(self.levels[n]) != len(self.bases[n]):
                 raise CompositionError(f"level count mismatch at degree {n}")
+        work = {}
+        for n in self.degrees:
             d = self.diffs.get(n)
             if d is None:
                 continue
@@ -102,51 +213,45 @@ class FilteredSlice:
                 raise CompositionError(f"differential leaves the slice at degree {n}")
             if nxt is not None and d.codomain.monomials != nxt.monomials:
                 raise CompositionError(f"differential codomain mismatch at {n}")
-            # the differential must not lower the filtration level
-            lv_cod = self.levels.get(n + 1, ())
-            for j, col in enumerate(d.cols):
-                for i, _ in col:
-                    if lv_cod and lv_cod[i] < self.levels[n][j]:
-                        raise CompositionError(
-                            f"level drops along the differential at degree {n}")
+            work[n] = self._work(n)
         # composites only once every shape is known to match
-        for n in self.degrees:
-            d, d2 = self.diffs.get(n), self.diffs.get(n + 1)
-            if d is not None and d2 is not None and any(d2.apply_all(d.cols)):
-                raise CompositionError(
-                    f"differential does not square to zero at degree {n}")
+        for n, w in work.items():
+            d2 = self.diffs.get(n + 1)
+            if d2 is not None:
+                w.check_square(self.diffs[n], d2, n)
+
+    def _work(self, n: int) -> "_DegreeWork":
+        return _degree_work(self.diffs[n], self.levels[n], self.levels.get(n + 1, ()), n)
 
     @cached_property
     def _pairing(self) -> Mapping[Tuple[int, int], Tuple[Optional[int], ...]]:
         """The persistence pairing of the slice, by (degree, level), read-only.
 
         Each basis vector contributes the gap of its pair, the level
-        difference of the two vectors, or None when it is unpaired.  The
-        vectors of all degrees are numbered by level, lowest first, so the
-        pivot of an image (its first nonzero column) is its lowest-level
-        entry; the columns go into one Echelon in the reverse order, and a
-        column that adds a pivot is paired with it.  A paired vector never
-        adds a pivot itself: its column lies in the span of the columns
-        numbered after it.  The cut top of a slice has no columns, so the
-        pairing of that degree is incomplete.
+        difference of the two vectors, or None when it is unpaired; the gaps
+        at one (degree, level) follow the basis order.  A column has entries
+        only one degree up, so the pairing is the union of the pairs of each
+        differential (_DegreeWork.pairs), taken by increasing degree, and
+        each differential is paired once however many slices hold it.  The
+        cut top of a slice has no columns, so the pairing of that degree is
+        incomplete.
         """
-        order = sorted((lv, n, i) for n in self.degrees
-                       for i, lv in enumerate(self.levels[n]))
-        index = {(n, i): k for k, (_, n, i) in enumerate(order)}
-        cols = []
-        for _, n, i in reversed(order):
-            d = self.diffs.get(n)
-            cols.append(() if d is None else
-                        tuple(sorted((index[n + 1, j], x) for j, x in d.cols[i])))
-        partner = {}
-        for k, pc in zip(range(len(order) - 1, -1, -1), added_pivots(cols)):
-            if pc is not None:
-                partner[k], partner[pc] = pc, k
-        pairs: Dict[Tuple[int, int], List[Optional[int]]] = {}
-        for k, (lv, n, _) in enumerate(order):
-            gap = abs(order[partner[k]][0] - lv) if k in partner else None
-            pairs.setdefault((n, lv), []).append(gap)
-        return MappingProxyType({key: tuple(gaps) for key, gaps in pairs.items()})
+        gaps = {n: [None] * len(self.levels[n]) for n in self.degrees}
+        pairs: Pairs = ((), ())
+        for n in self.degrees:
+            if n not in self.diffs:
+                pairs = ((), ())
+                continue
+            lv, lv_up = self.levels[n], self.levels.get(n + 1, ())
+            pairs = self._work(n).pairs(self.diffs[n], pairs)
+            out, up = gaps[n], gaps.get(n + 1)
+            for i, j in zip(*pairs):
+                out[i] = up[j] = lv_up[j] - lv[i]
+        by_level: Dict[Tuple[int, int], List[Optional[int]]] = {}
+        for n in self.degrees:
+            for lv, gap in zip(self.levels[n], gaps[n]):
+                by_level.setdefault((n, lv), []).append(gap)
+        return MappingProxyType({key: tuple(gs) for key, gs in by_level.items()})
 
     def leaves_slice(self, n: int) -> bool:
         """Whether n is the cut top of the slice, whose differential is not

@@ -125,6 +125,31 @@ FAULTS = (
           "    if fs.leaves_slice(n) and fs.level_indices(n, p):\n"
           "        fs.require_inside([n])\n", "",
           ("tests/test_specseq.py::test_every_reader_of_a_cut_top_raises",)),
+    # the work of a differential is shared only between equal levels: the
+    # pairs follow the level order, and the level check needs the levels
+    Fault("work-shared-across-levels", "specseq.py",
+          "    if work is None or work() is not d or work.levels != (lv_dom, lv_cod):\n",
+          "    if work is None or work() is not d:\n",
+          ("tests/test_specseq.py::test_shared_pairs_follow_the_levels",)),
+    # the store is keyed by id(), so work must be checked to be the matrix's own
+    Fault("work-handed-to-another-matrix", "specseq.py",
+          "work is None or work() is not d or ", "work is None or ",
+          ("tests/test_specseq.py::test_work_is_handed_only_to_its_own_matrix",)),
+    # a composite checked with one next differential vouches for no other
+    Fault("square-shared-across-successors", "specseq.py",
+          "        if self.squares_with is not d2:\n",
+          "        if self.squares_with is None:\n",
+          ("tests/test_specseq.py::test_a_checked_square_holds_only_for_its_next_matrix",)),
+    # the columns left out are the codomain vectors paired below, not the
+    # columns paired below
+    Fault("clearing-the-wrong-side", "specseq.py",
+          "cleared = set(below[1])", "cleared = set(below[0])",
+          ("tests/test_specseq.py::test_every_cut_shares_the_pairs_of_one_global_elimination",
+           "tests/test_specseq.py::test_whole_pieces_pair_as_one_global_elimination")),
+    # a single entry skips the elimination only in a row no other column touches
+    Fault("kernel-single-entry-in-a-shared-row", "linwin.py",
+          "if len(col) != 1 or uses[col[0][0]] != 1]", "if len(col) != 1]",
+          ("tests/test_linwin_sympy.py::test_kernel_len_matches_the_plain_rank",)),
 )
 
 

@@ -339,3 +339,19 @@ def test_echelon_between_inserts_matches_sympy(n, data):
         if op in ("add", "insert"):
             inserted.append(v)
         assert len(ech) == sympy_rank(inserted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(1, 5)), st.data())
+def test_kernel_len_matches_the_plain_rank(shape, data):
+    # the columns of specseq.z_cols: a band of a map, and unit entries that
+    # pin coordinates; a pinned row may be shared or lie inside the band,
+    # and only a single entry in a row of its own skips the elimination
+    m, n = shape
+    matrix = data.draw(st.lists(st.lists(st_map_entry, min_size=n, max_size=n),
+                                min_size=m, max_size=m))
+    cols = [sparse(col) for col in zip(*matrix)] if m else [()] * n
+    for j in data.draw(st.sets(st.integers(0, n - 1))):
+        cols[j] = ((data.draw(st.integers(0, m + n - 1)), data.draw(st_nonzero)),)
+    dense_cols = [dense(col, m + n) for col in cols]
+    assert len(Kernel(cols)) == n - to_sympy(dense_cols).rank() == n - rank_of(cols)

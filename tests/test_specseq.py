@@ -347,3 +347,180 @@ def test_truncation_boundary_pages_raise():
     # one degree down every page is still available
     p = fs.max_level()
     assert page(fs, 1, p, top - 1 - p).dim == _span_dim(fs, 1, p, top - 1)
+
+
+# -- the shared pairing against one global elimination ---------------------------
+
+
+def _global_pairing(fs):
+    """The pairing of fs from one elimination over every degree at once: the
+    vectors numbered by (level, degree, index), the columns put into one
+    Echelon from the highest number down, a column paired with the pivot it
+    adds; gaps by (degree, level), in basis order."""
+    order = sorted((lv, n, i) for n in fs.degrees for i, lv in enumerate(fs.levels[n]))
+    index = {(n, i): k for k, (_, n, i) in enumerate(order)}
+    cols = []
+    for _, n, i in reversed(order):
+        d = fs.diffs.get(n)
+        cols.append(() if d is None else
+                    tuple(sorted((index[n + 1, j], x) for j, x in d.cols[i])))
+    ech, partner = linwin.Echelon(), {}
+    for k, col in zip(range(len(order) - 1, -1, -1), cols):
+        pc = ech._insert(col)
+        if pc is not None:
+            partner[k], partner[pc] = pc, k
+    pairs = {}
+    for k, (lv, n, _) in enumerate(order):
+        gap = abs(order[partner[k]][0] - lv) if k in partner else None
+        pairs.setdefault((n, lv), []).append(gap)
+    return {key: tuple(gaps) for key, gaps in pairs.items()}
+
+
+def _check_against_the_global_pairing(fs):
+    want = _global_pairing(fs)
+    assert dict(fs._pairing) == want
+    if fs.cut:
+        with pytest.raises(ValueError, match="truncation boundary"):
+            collapse_at(fs)
+    else:
+        assert collapse_at(fs) == 1 + max(
+            (g for gaps in want.values() for g in gaps if g is not None), default=-1)
+    for (n, p), gaps in want.items():
+        if fs.leaves_slice(n):
+            continue
+        for r in (1, 2, 3):
+            assert page(fs, r, p, n - p).dim == sum(g is None or g >= r for g in gaps), \
+                (r, p, n)
+
+
+CUT_PIECES = [(k, c) for k in range(-1, 5) for c in range(7)]
+
+
+@pytest.mark.parametrize("caps", [range(7, 0, -1), range(1, 8)],
+                         ids=["highest-cap-first", "lowest-cap-first"])
+@pytest.mark.parametrize("k,c", CUT_PIECES)
+def test_every_cut_shares_the_pairs_of_one_global_elimination(k, c, caps, monkeypatch):
+    # fresh slices and an empty store, so each cut finds the work of the
+    # cuts built before it: from the highest cap down the first cut does it
+    # all, from the lowest up each cut adds the work of its new degree
+    monkeypatch.setattr(specseq, "_WORK", {})
+    for cap in caps:
+        _check_against_the_global_pairing(pencil_filtered_slice.__wrapped__(k, c, cap))
+
+
+@pytest.mark.parametrize("k,c", [(k, c) for k in range(-1, 4) for c in range(6)])
+def test_whole_pieces_pair_as_one_global_elimination(k, c, monkeypatch):
+    monkeypatch.setattr(specseq, "_WORK", {})
+    _check_against_the_global_pairing(pencil_filtered_slice.__wrapped__(k, c))
+
+
+def _numbers(n):
+    """A basis of n stand-in monomials, for matrices that are only numbers."""
+    from kdvcohom.algebra import Bidegree, Monomial
+    return SliceBasis(Bidegree(0, 0), None, tuple(Monomial(lam=i) for i in range(n)))
+
+
+def test_shared_pairs_follow_the_levels():
+    # one matrix, d(a) = d(b) = x, in slices with other levels: the higher
+    # of a and b takes the pair, so each slice needs its own pairs, and a
+    # level that drops along d is caught whatever slice checked d before
+    from fractions import Fraction as F
+    d = linwin.OperatorMatrix(_numbers(2), _numbers(1), (((0, F(1)),), ((0, F(1)),)))
+
+    def two_degrees(lv0, lv1):
+        return FilteredSlice(degrees=(0, 1), bases={0: d.domain, 1: d.codomain},
+                             levels={0: lv0, 1: lv1}, diffs={0: d}, cut=True)
+
+    first = two_degrees((0, 1), (1,))
+    assert dict(first._pairing) == {(0, 0): (None,), (0, 1): (0,), (1, 1): (0,)}
+    second = two_degrees((1, 0), (2,))
+    assert dict(second._pairing) == _global_pairing(second) == \
+        {(0, 0): (None,), (0, 1): (1,), (1, 2): (1,)}
+    assert page(second, 2, 0, 0).dim == 1 and page(second, 1, 1, -1).dim == 1
+    with pytest.raises(CompositionError, match="level drops along the differential"):
+        two_degrees((1, 1), (0,))
+
+
+def test_work_is_handed_only_to_its_own_matrix(monkeypatch):
+    # the store is keyed by id(), which a new matrix can reuse once the old
+    # one is collected: work found under a matrix's id but made for another
+    # (planted here) is never handed out, so the level check still runs
+    from fractions import Fraction as F
+    store = {}
+    monkeypatch.setattr(specseq, "_WORK", store)
+    up = linwin.OperatorMatrix(_numbers(1), _numbers(2), (((0, F(1)),),))
+    down = linwin.OperatorMatrix(_numbers(1), _numbers(2), (((1, F(1)),),))
+
+    def two_degrees(d):
+        return FilteredSlice(degrees=(0, 1), bases={0: d.domain, 1: d.codomain},
+                             levels={0: (1,), 1: (0, 1)}, diffs={0: d}, cut=True)
+
+    two_degrees(down)
+    store[id(up)] = store[id(down)]
+    with pytest.raises(CompositionError, match="level drops along the differential"):
+        two_degrees(up)
+
+
+def test_a_checked_square_holds_only_for_its_next_matrix():
+    # d2 d = 0 for one d2 says nothing of another d2 after the same d
+    from fractions import Fraction as F
+    d = linwin.OperatorMatrix(_numbers(1), _numbers(2), (((0, F(1, 2)), (1, F(1, 3))),))
+
+    def after(second_column):
+        d2 = linwin.OperatorMatrix(_numbers(2), _numbers(2),
+                                   (((0, F(1)), (1, F(1, 3))), second_column))
+        return FilteredSlice(degrees=(0, 1, 2),
+                             bases={0: d.domain, 1: d.codomain, 2: d2.codomain},
+                             levels={0: (0,), 1: (0, 0), 2: (0, 0)},
+                             diffs={0: d, 1: d2}, cut=True)
+
+    after(((0, F(-3, 2)), (1, F(-1, 2)))).validate()
+    with pytest.raises(CompositionError, match="does not square to zero at degree 0"):
+        after(((0, F(-3, 2)),))
+
+
+def test_a_pages_pass_pairs_and_squares_each_differential_once(monkeypatch):
+    # the bench pages pass, window 2:1 up to total 4, on fresh slices and an
+    # empty store: each distinct differential the slices hold is eliminated
+    # once, and each distinct consecutive pair of them composed once
+    from collections import Counter
+    from functools import lru_cache
+    from kdvcohom import acceptance
+
+    built = []
+
+    @lru_cache(maxsize=None)
+    def fresh_slice(k, c, d_cap=None):
+        fs = pencil_filtered_slice.__wrapped__(k, c, d_cap)
+        built.append(fs)
+        return fs
+
+    monkeypatch.setattr(acceptance, "pencil_filtered_slice", fresh_slice)
+    monkeypatch.setattr(specseq, "_WORK", {})
+    eliminated, composed = Counter(), Counter()
+    pairs, apply_all = specseq._DegreeWork.pairs, linwin.OperatorMatrix.apply_all
+
+    def counting_pairs(self, d, below):
+        eliminated[id(d)] += self._pairs is None
+        return pairs(self, d, below)
+
+    def counting_apply_all(self, vecs):
+        composed[id(self), id(vecs)] += 1
+        return apply_all(self, vecs)
+
+    monkeypatch.setattr(specseq._DegreeWork, "pairs", counting_pairs)
+    monkeypatch.setattr(linwin.OperatorMatrix, "apply_all", counting_apply_all)
+    w = Window(2, 1)
+    for r in (1, 2, 3):
+        for n in range(5):
+            for p in range(n + 1):
+                acceptance.windowed_page_count(r, p, n - p, w)
+    for fs in built:
+        fs._pairing
+    diffs = {id(d): d for fs in built for d in fs.diffs.values()}
+    steps = {(id(fs.diffs[n + 1]), id(d.cols)) for fs in built
+             for n, d in fs.diffs.items() if n + 1 in fs.diffs}
+    assert eliminated == Counter(diffs.keys())
+    assert composed == Counter(steps)
+    # the cuts of a piece share its differentials
+    assert len(diffs) < sum(len(fs.diffs) for fs in built)
