@@ -50,7 +50,6 @@ from .kdvpencil import (
     HomotopySingularityError,
     P1_DENSITY,
     P2_DENSITY,
-    d0_explicit,
     d1_explicit,
     d_lambda,
     e1_basis,
@@ -97,7 +96,7 @@ __all__ = [
     "DEFAULT_LADDER", "SliceBasis", "Window", "enumerate_piece_basis",
     "operator_matrix",
     "D1", "D2", "HomotopySingularityError", "P1_DENSITY", "P2_DENSITY",
-    "d0_explicit", "d1_explicit", "d_lambda", "e1_basis", "filtration_level",
+    "d1_explicit", "d_lambda", "e1_basis", "filtration_level",
     "h_op", "pencil_filtered_slice", "subcomplex_bidegrees",
     "FilteredSlice", "collapse_at", "converge_check", "homology_at",
     "page", "page_dr_matrix",

@@ -20,13 +20,24 @@ monomial_partials: for each variable present in a monomial it gives the
 exponent (or, for an odd variable, the left-derivative sign) and the
 monomial with one copy of the variable removed.  partial filters it to one
 variable, and derivation() places the image of each variable on the left
-of the rest, which is how dtot, the evolutionary fields of varcalc and the
-page-zero differential of kdvpencil are built.  The images reach it
-already scaled to integers, once per operator, so its term map runs on
-ints; _integers is the one scaling from exact numbers to integers, here
-and in linwin.  Both derivation and DiffPoly * multiply through one
-kernel, _times: a whole image times one monomial on the right, with Koszul
-signs and repeated odd factors found by bisection on the sorted odd tuples.
+of the rest, which is how dtot and the evolutionary fields of varcalc are
+built.  The images reach it already scaled to integers, once per operator,
+so its term map runs on ints; _integers is the one scaling from exact
+numbers to integers, here and in linwin.  Both derivation and DiffPoly *
+multiply through one kernel, _times: a whole image times one monomial on
+the right, with Koszul signs and repeated odd factors found by bisection on
+the sorted odd tuples.
+
+The term map of derivation, on integer numerators over one denominator,
+is derivation_numerators, the one derivation kernel.  An operator applied
+to polynomials (dtot, and every varcalc.OperatorSpec when called) is
+applied term by term through a memo of its own (apply_memoized): the
+kernel computes the image of each parameter-free monomial once, the memo
+keeps its numerators and denominator, and a term l^a m shifts the image of
+m by l^a, since l is central, even and constant.  The monomials of stored
+images are interned in one table shared by all memos.  Piece-matrix
+assembly calls derivation directly (dtot_direct,
+OperatorSpec.apply_direct): a piece matrix caches its own columns.
 
 Everything here is exact; coefficients are fractions.Fraction (an int is
 converted, anything else raises TypeError) and no floating point is ever
@@ -413,19 +424,22 @@ def image_poly(image: IntegerImage) -> DiffPoly:
     return DiffPoly({m: Fraction(n, den) for m, n in pairs})
 
 
-def derivation(a: DiffPoly, even_image: Callable[[int], IntegerImage],
-               odd_image: Callable[[int], IntegerImage]) -> DiffPoly:
-    """The derivation sending u^s to even_image(s) and t^s to odd_image(s).
+def derivation_numerators(a: DiffPoly, even_image: Callable[[int], IntegerImage],
+                          odd_image: Callable[[int], IntegerImage]) -> Tuple[dict, int]:
+    """The term map of derivation: integer numerators over one denominator.
 
-    The parameter l is constant.  On a monomial it is the sum over its
-    variables of the image times the partial derivative, the image
-    multiplied on the left, so an odd image gives an odd derivation.
+    Returns (terms, den), terms mapping each monomial the derivation
+    reaches to an integer numerator (zero where terms cancel) and den a
+    positive int, so that the derivation of a is the sum of n / den times
+    each monomial.  The parameter l is constant.  On a monomial the
+    derivation is the sum over its variables of the image times the
+    partial derivative, the image multiplied on the left, so an odd image
+    gives an odd derivation.
 
     The images come already scaled to integers (see integer_image), so a
     caller applying one operator many times scales each image once.  The
     term map accumulates integer numerators, one _times call per variable
-    and rest, over the lcm denominators of a and of the images, and one
-    Fraction is built per nonzero output term.
+    and rest, over the lcm denominators of a and of the images.
     """
     v, den_a = _integers(a.terms.items())
     images = {}
@@ -446,6 +460,69 @@ def derivation(a: DiffPoly, even_image: Callable[[int], IntegerImage],
             n *= den_i // den
         for mm, ni in _times(pairs, rest):
             terms[mm] = terms.get(mm, 0) + n * ni
+    return terms, den_a * den_i
+
+
+def derivation(a: DiffPoly, even_image: Callable[[int], IntegerImage],
+               odd_image: Callable[[int], IntegerImage]) -> DiffPoly:
+    """The derivation sending u^s to even_image(s) and t^s to odd_image(s).
+
+    Its term map is derivation_numerators; one Fraction is built per
+    nonzero output term.
+    """
+    terms, den = derivation_numerators(a, even_image, odd_image)
+    return _poly({mm: Fraction(n, den) for mm, n in terms.items() if n})
+
+
+# The monomials of every memoized image (and every memo key), one object
+# per distinct monomial, shared by the memos of all operators.
+_INTERNED: dict = {}
+
+_F1 = Fraction(1)
+
+
+def apply_memoized(a: DiffPoly, memo: dict, even_image: Callable[[int], IntegerImage],
+                   odd_image: Callable[[int], IntegerImage]) -> DiffPoly:
+    """derivation(a, even_image, odd_image), term by term through memo.
+
+    The parameter l is central, even and constant, so the derivation sends
+    l^a m to l^a times the image of m.  memo, which must serve this one
+    pair of images alone, maps a parameter-free monomial m to that image
+    as the derivation kernel gives it: the interned monomials with nonzero
+    numerators, those numerators, and their positive denominator.  A miss
+    runs derivation_numerators on m alone.  A term l^a m reads the image of
+    m and shifts it by l^a.  Numerators accumulate over the lcm of the
+    denominators of a and of the images read, and one Fraction is built
+    per nonzero output term, as in derivation.  The stored images are
+    tuples of monomials and ints, so nothing a caller holds reaches the
+    memo.
+    """
+    v, den_a = _integers(a.terms.items())
+    steps = []
+    for m, n in v.items():
+        lam = m[0]
+        key = _new(Monomial, (0, m[1], m[2], m[3])) if lam else m
+        image = memo.get(key)
+        if image is None:
+            num, den = derivation_numerators(_poly({key: _F1}), even_image, odd_image)
+            intern = _INTERNED.setdefault
+            num = [(mm, ni) for mm, ni in num.items() if ni]
+            image = memo[intern(key, key)] = (
+                tuple([intern(mm, mm) for mm, _ in num]), tuple([ni for _, ni in num]), den)
+        if image[0]:
+            steps.append((image, n, lam))
+    den_i = lcm(*[image[2] for image, _, _ in steps])
+    terms: dict = {}
+    for (monos, nums, den), n, lam in steps:
+        if den != den_i:
+            n *= den_i // den
+        if lam:
+            for (ml, u0, even, odd), ni in zip(monos, nums):
+                mm = _new(Monomial, (ml + lam, u0, even, odd))
+                terms[mm] = terms.get(mm, 0) + n * ni
+        else:
+            for mm, ni in zip(monos, nums):
+                terms[mm] = terms.get(mm, 0) + n * ni
     den = den_a * den_i
     return _poly({mm: Fraction(n, den) for mm, n in terms.items() if n})
 
@@ -458,14 +535,26 @@ def _next_theta(s: int) -> IntegerImage:
     return ((Monomial(odd=(s + 1,)), 1),), 1
 
 
+def dtot_direct(a: DiffPoly) -> DiffPoly:
+    """dtot computed by derivation alone, reading and filling no memo.
+
+    Piece-matrix assembly calls it: a piece matrix caches its own columns.
+    Its images are integral, so they need no scaling.
+    """
+    return derivation(a, _next_jet, _next_theta)
+
+
+_DTOT_MEMO: dict = {}
+
+
 def dtot(a: DiffPoly) -> DiffPoly:
     """Total x-derivative: sum over s of u^{s+1} d/du^s + t^{s+1} d/dt^s.
 
     Annihilates l.  Raises the standard degree by one and preserves both
-    the super degree and the even-factor count.  Its images are integral,
-    so they need no scaling.
+    the super degree and the even-factor count.  Applied through a memo of
+    the images of parameter-free monomials (apply_memoized).
     """
-    return derivation(a, _next_jet, _next_theta)
+    return apply_memoized(a, _DTOT_MEMO, _next_jet, _next_theta)
 
 
 def bidegree(a: DiffPoly) -> Optional[Bidegree]:

@@ -5,8 +5,8 @@ Their difference with the central parameter, u t0 t1 / 2 - l t0 t1 / 2,
 generates the pencil differential.  The filtration by top jet order turns
 each fixed even-count piece of the complex into a finite filtered complex;
 this module provides the pencil operators, the filtration bookkeeping, the
-explicit page-zero and page-one differentials, and the weighted homotopy
-that contracts almost all of page one.
+explicit page-one differential, and the weighted homotopy that contracts
+almost all of page one.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .algebra import (
     DiffPoly,
     Monomial,
     ZERO,
-    derivation,
-    integer_image,
     lam_var,
     mul,
     partial,
@@ -92,26 +90,6 @@ def subcomplex_bidegrees(k: int) -> List[Bidegree]:
         if d >= 0 and 2 * d >= p * (p - 1):
             out.append(Bidegree(p, d))
     return out
-
-
-# -- page zero -------------------------------------------------------------
-
-
-def d0_explicit(x: DiffPoly, q: int) -> DiffPoly:
-    """Leading part of the pencil differential on the column of top order q.
-
-    Only the terms that raise the top jet order from q to q + 1 survive in
-    the associated graded complex; they act through the order-q variables
-    alone.
-    """
-    if q < 0:
-        raise ValueError("column index must be >= 0")
-    even_coef = integer_image((u_jet(0) - lam_var()) * theta(q + 1)
-                              + Fraction(1, 2) * u_jet(q + 1) * theta(0))
-    odd_coef = integer_image(Fraction(1, 2) * theta(0) * theta(q + 1))
-    zero = integer_image(ZERO)
-    return derivation(x, lambda s: even_coef if s == q else zero,
-                      lambda s: odd_coef if s == q else zero)
 
 
 # -- page one --------------------------------------------------------------
@@ -259,12 +237,16 @@ _PIECE_CACHE: Dict[Tuple[str, int, int, int], OperatorMatrix] = {}
 
 
 def _op_piece_matrix(op: OperatorSpec, bd: Bidegree, c: int, c_out: int) -> OperatorMatrix:
-    """Matrix of d1 or d2 on the parameter-free piece, cached by op name."""
+    """Matrix of d1 or d2 on the parameter-free piece, cached by op name.
+
+    Assembled through apply_direct: the cached matrix holds the columns,
+    so a memo of monomial images would only duplicate them.
+    """
     key = (op.name, bd.p, bd.d, c)
     if key not in _PIECE_CACHE:
         up = Bidegree(bd.p + 1, bd.d + 1)
         _PIECE_CACHE[key] = operator_matrix(
-            op, enumerate_piece_basis(bd, c, False),
+            op.apply_direct, enumerate_piece_basis(bd, c, False),
             enumerate_piece_basis(up, c_out, False))
     return _PIECE_CACHE[key]
 

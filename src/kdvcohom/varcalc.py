@@ -16,8 +16,10 @@ from .algebra import (
     DiffPoly,
     IntegerImage,
     ZERO,
+    apply_memoized,
     derivation,
     dtot,
+    dtot_direct,
     image_poly,
     integer_image,
     monomial_partials,
@@ -63,20 +65,31 @@ class OperatorSpec:
 
         op(a) = sum_s dtot^s(even_seed) da/du^s + dtot^s(odd_seed) da/dt^s.
 
-    An OperatorSpec is frozen, and it keeps its seeds and their
-    prolongations dtot^s only as integer images (algebra.integer_image):
-    each is scaled once, the seeds on construction and each prolongation
-    when first needed, and kept for every later application.  even_seed,
-    odd_seed, even_gen and odd_gen build a fresh polynomial on every call,
-    so nothing a caller holds reaches the cache.
+    An OperatorSpec is frozen.  It keeps two stores of integer images
+    (algebra.integer_image), each entry scaled once and kept for every
+    later application:
+
+    * its seeds and their prolongations dtot^s, the seeds scaled on
+      construction and each prolongation when first needed;
+    * its memo: the image of each parameter-free monomial it has been
+      applied to.  Calling the operator applies it term by term through
+      the memo (algebra.apply_memoized); a miss runs the derivation kernel
+      on the monomial alone.  apply_direct is apply_op, which reads no
+      memo; piece-matrix assembly uses it, since a piece matrix caches its
+      own columns.
+
+    even_seed, odd_seed, even_gen and odd_gen build a fresh polynomial on
+    every call, and every call builds a fresh result, so nothing a caller
+    holds reaches either store.
     """
 
-    __slots__ = ("name", "_images")
+    __slots__ = ("name", "_images", "_memo")
 
     def __init__(self, even_seed: DiffPoly, odd_seed: DiffPoly, name: str = ""):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_images", {("u", 0): integer_image(even_seed),
                                              ("t", 0): integer_image(odd_seed)})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"OperatorSpec is frozen; cannot set {attr}")
@@ -90,6 +103,12 @@ class OperatorSpec:
         if key not in self._images:
             self._images[key] = integer_image(dtot(image_poly(self._image(kind, s - 1))))
         return self._images[key]
+
+    def _even_image(self, s: int) -> IntegerImage:
+        return self._image("u", s)
+
+    def _odd_image(self, s: int) -> IntegerImage:
+        return self._image("t", s)
 
     @property
     def even_seed(self) -> DiffPoly:
@@ -108,6 +127,10 @@ class OperatorSpec:
         return image_poly(self._image("t", s))
 
     def __call__(self, a: DiffPoly) -> DiffPoly:
+        return apply_memoized(a, self._memo, self._even_image, self._odd_image)
+
+    def apply_direct(self, a: DiffPoly) -> DiffPoly:
+        """The operator applied to a by apply_op, reading no memo."""
         return apply_op(self, a)
 
     def __repr__(self) -> str:
@@ -116,7 +139,7 @@ class OperatorSpec:
 
 
 def apply_op(op: OperatorSpec, a: DiffPoly) -> DiffPoly:
-    return derivation(a, lambda s: op._image("u", s), lambda s: op._image("t", s))
+    return derivation(a, op._even_image, op._odd_image)
 
 
 def build_dp(density: DiffPoly, name: str = "") -> OperatorSpec:
@@ -148,8 +171,9 @@ def dtot_piece_matrix(p: int, d: int, c: int, include_lambda: bool) -> OperatorM
 
     dtot is constant on the parameter, so on pieces with l the matrix is
     the lambda_lift of the parameter-free blocks of counts c - a, each into
-    l^a; only parameter-free monomials are differentiated.  Empty pieces
-    give an empty matrix.
+    l^a; only parameter-free monomials are differentiated, by dtot_direct,
+    since the matrix caches its own columns.  Empty pieces give an empty
+    matrix.
     """
     key = (p, d, c, include_lambda)
     if key not in _DTOT_PIECE:
@@ -158,7 +182,7 @@ def dtot_piece_matrix(p: int, d: int, c: int, include_lambda: bool) -> OperatorM
             mat = lambda_lift(bd, up, c, [((dtot_piece_matrix(p, d, c - a, False), a, 1),)
                                           for a in range(c + 1)])
         else:
-            mat = operator_matrix(dtot, enumerate_piece_basis(bd, c, False),
+            mat = operator_matrix(dtot_direct, enumerate_piece_basis(bd, c, False),
                                   enumerate_piece_basis(up, c, False))
         _DTOT_PIECE[key] = mat
     return _DTOT_PIECE[key]

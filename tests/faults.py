@@ -146,6 +146,17 @@ FAULTS = (
           "cleared = set(below[1])", "cleared = set(below[0])",
           ("tests/test_specseq.py::test_every_cut_shares_the_pairs_of_one_global_elimination",
            "tests/test_specseq.py::test_whole_pieces_pair_as_one_global_elimination")),
+    # a term l^a m reads the stored image of m, which must be lifted by l^a
+    Fault("lambda-shift-dropped", "algebra.py",
+          "_new(Monomial, (ml + lam, u0, even, odd))", "_new(Monomial, (ml, u0, even, odd))",
+          ("tests/test_algebra.py::test_memoized_operators_match_fraction_reference",
+           "tests/test_algebra.py::test_lambda_powers_shift_the_stored_image")),
+    # the memo is keyed by monomial alone, so it is sound only per operator
+    Fault("memo-shared-by-operators", "varcalc.py",
+          'object.__setattr__(self, "_memo", {})',
+          'object.__setattr__(self, "_memo", OperatorSpec.__init__.__dict__.setdefault("memo", {}))',
+          ("tests/test_algebra.py::test_memoized_operators_match_fraction_reference",
+           "tests/test_algebra.py::test_each_operator_keeps_its_own_memo")),
     # a single entry skips the elimination only in a row no other column touches
     Fault("kernel-single-entry-in-a-shared-row", "linwin.py",
           "if len(col) != 1 or uses[col[0][0]] != 1]", "if len(col) != 1]",

@@ -5,6 +5,7 @@ Every frozen value below was computed by hand from the sign conventions
 before the implementation existed.
 """
 
+import functools
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,9 +19,11 @@ from kdvcohom.algebra import (
     Monomial,
     ONE,
     ZERO,
+    apply_memoized,
     bidegree,
     dtot,
     format_poly,
+    integer_image,
     lam_var,
     mono,
     monomial_partials,
@@ -32,6 +35,7 @@ from kdvcohom.algebra import (
     theta,
     u_jet,
 )
+from kdvcohom.kdvpencil import D1, D2, DLAMBDA
 from kdvcohom.varcalc import OperatorSpec, apply_op, delta_theta, delta_u
 
 
@@ -301,6 +305,65 @@ def test_derivation_matches_fraction_reference(a):
             (dtot(a), lambda s: u_jet(s + 1), lambda s: theta(s + 1))):
         assert got == derivation_reference(a, even_image, odd_image)
         assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+# every memoized operator the package applies, with the images the
+# reference derivation reads: the pencil operators, a field with
+# denominators, the corrupted structure of the negative control, and dtot
+CORRUPTED = OperatorSpec(poly("u t1"), poly("1/2 t0 t1"), name="corrupted")
+MEMOIZED = [(op, op.even_gen, op.odd_gen) for op in (D1, D2, DLAMBDA, FIELD_237, CORRUPTED)]
+MEMOIZED.append((dtot, lambda s: u_jet(s + 1), lambda s: theta(s + 1)))
+
+
+def fresh_memo(op):
+    """The same operator with a memo of its own, still empty."""
+    if op is dtot:
+        return functools.partial(apply_memoized, memo={},
+                                 even_image=lambda s: integer_image(u_jet(s + 1)),
+                                 odd_image=lambda s: integer_image(theta(s + 1)))
+    return OperatorSpec(op.even_seed, op.odd_seed, op.name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st_poly_5, st.integers(1, 3), st.booleans())
+def test_memoized_operators_match_fraction_reference(a, shift, lifted_first):
+    # l^shift a reads the images of a's parameter-free monomials: each
+    # operator, with its shared memo and with an empty one, touches l^shift m
+    # before m or after it, and a caller then spoils every result it got
+    lifted = DiffPoly.monomial(Monomial(lam=shift)) * a
+    for op, even_image, odd_image in MEMOIZED:
+        want = {id(a): derivation_reference(a, even_image, odd_image),
+                id(lifted): derivation_reference(lifted, even_image, odd_image)}
+        order = (lifted, a) if lifted_first else (a, lifted)
+        for f in (op, fresh_memo(op)):
+            for x in order + order:
+                got = f(x)
+                assert got == want[id(x)]
+                assert all(type(c) is Fraction and c for c in got.terms.values())
+                for m in got.terms:
+                    got.terms[m] = Fraction(7)
+                got.terms[Monomial(u0=9)] = Fraction(1)
+            assert [f(x) for x in order] == [want[id(x)] for x in order]
+
+
+def test_lambda_powers_shift_the_stored_image():
+    x = poly("1/2 u u1 t0 + u2 t1")
+    lifted = poly("l^2") * x
+    want = derivation_reference(lifted, DLAMBDA.even_gen, DLAMBDA.odd_gen)
+    assert want and any(m.lam == 3 for m in want.terms)
+    for first in (x, lifted):
+        op = fresh_memo(DLAMBDA)
+        op(first)
+        assert op(lifted) == want
+        assert op(x + lifted) == op(x) + want
+
+
+def test_each_operator_keeps_its_own_memo():
+    x = poly("u u1 t0")
+    ops = [fresh_memo(op) for op, _, _ in MEMOIZED]
+    for op, (_, even_image, odd_image) in zip(ops, MEMOIZED):
+        assert op(x) == derivation_reference(x, even_image, odd_image)
+    assert len({str(op(x)) for op in ops}) == len(ops)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvcohom import cohomeng, varcalc
+from kdvcohom import algebra, cohomeng, varcalc
 from kdvcohom.algebra import Bidegree, mono, poly
 from kdvcohom.cohomeng import (
     EXCEPTIONAL_BIDEGREES,
@@ -236,20 +236,21 @@ def test_ladder_is_default():
 
 
 def test_functional_presentation_differentiates_no_parameter(monkeypatch):
-    # the exact terms of a piece with l are built from the l-free blocks
+    # the exact terms of a piece with l are built from the l-free blocks:
+    # every monomial the one derivation kernel sees is free of l, on the
+    # assembly path and behind the operator memos alike
     seen = []
-    real = varcalc.dtot
+    real = algebra.derivation_numerators
 
-    def counting(a):
+    def counting(a, even_image, odd_image):
         seen.extend(m.lam for m in a.terms)
-        return real(a)
+        return real(a, even_image, odd_image)
 
-    monkeypatch.setattr(varcalc, "dtot", counting)
-    monkeypatch.setattr(cohomeng, "dtot", counting)
+    monkeypatch.setattr(algebra, "derivation_numerators", counting)
     monkeypatch.setattr(varcalc, "_DTOT_PIECE", {})
     rows = cohomeng._presentation_rows("dlambda_F", 2, 4, 3)
     assert seen and not any(seen)
-    want = operator_matrix(real, enumerate_piece_basis(Bidegree(2, 3), 3),
+    want = operator_matrix(varcalc.dtot_direct, enumerate_piece_basis(Bidegree(2, 3), 3),
                            enumerate_piece_basis(Bidegree(2, 4), 3))
     assert rows == list(want.cols)
 

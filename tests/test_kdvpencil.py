@@ -6,11 +6,13 @@ column correction, multiply back into the column) before implementing it.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from kdvcohom.algebra import Bidegree, Monomial, ZERO, bidegree, poly, theta, u_jet
+from kdvcohom.algebra import (Bidegree, Monomial, ZERO, bidegree, lam_var, poly, theta,
+                              u_jet)
 from kdvcohom.kdvpencil import (
     D1,
     D2,
@@ -18,7 +20,6 @@ from kdvcohom.kdvpencil import (
     HomotopySingularityError,
     P1_DENSITY,
     P2_DENSITY,
-    d0_explicit,
     d1_explicit,
     d1_piece_matrix,
     d2_piece_matrix,
@@ -35,7 +36,7 @@ from kdvcohom import kdvpencil, varcalc
 from kdvcohom.linwin import Window, enumerate_piece_basis, operator_matrix
 from kdvcohom.specseq import homology_at
 
-from test_algebra import st_poly
+from test_algebra import derivation_reference, st_poly
 
 
 def test_pencil_seeds():
@@ -98,6 +99,18 @@ def test_subcomplex_bidegrees():
 
 
 # -- page zero ----------------------------------------------------------------
+
+
+def d0_explicit(x, q):
+    """The page-zero differential on the column of top order q, from its
+    closed formula: only the order-q variables act, u^q by
+    (u - l) t^(q+1) + 1/2 u^(q+1) t0 and t^q by 1/2 t0 t^(q+1), as a
+    derivation summed term by term in Fractions.  An oracle for the
+    leading part of the pencil differential."""
+    even = (u_jet(0) - lam_var()) * theta(q + 1) + Fraction(1, 2) * u_jet(q + 1) * theta(0)
+    odd = Fraction(1, 2) * theta(0) * theta(q + 1)
+    return derivation_reference(x, lambda s: even if s == q else ZERO,
+                                lambda s: odd if s == q else ZERO)
 
 
 def test_d0_explicit_frozen():
