@@ -36,8 +36,8 @@ kernel computes the image of each parameter-free monomial once, the memo
 keeps its numerators and denominator, and a term l^a m shifts the image of
 m by l^a, since l is central, even and constant.  The monomials of stored
 images are interned in one table shared by all memos.  Piece-matrix
-assembly calls derivation directly (dtot_direct,
-OperatorSpec.apply_direct): a piece matrix caches its own columns.
+assembly calls derivation directly (dtot_direct, varcalc.apply_op): a
+piece matrix caches its own columns.
 
 Everything here is exact; coefficients are fractions.Fraction (an int is
 converted, anything else raises TypeError) and no floating point is ever

@@ -11,6 +11,7 @@ almost all of page one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .linwin import (
     lambda_lift,
     operator_matrix,
 )
+from . import varcalc
 from .specseq import FilteredSlice
 from .varcalc import OperatorSpec, build_dp
 
@@ -239,15 +241,27 @@ _PIECE_CACHE: Dict[Tuple[str, int, int, int], OperatorMatrix] = {}
 def _op_piece_matrix(op: OperatorSpec, bd: Bidegree, c: int, c_out: int) -> OperatorMatrix:
     """Matrix of d1 or d2 on the parameter-free piece, cached by op name.
 
-    Assembled through apply_direct: the cached matrix holds the columns,
-    so a memo of monomial images would only duplicate them.
+    Assembled through varcalc.apply_op, which reads no memo: the cached
+    matrix holds the columns, so a memo of monomial images would only
+    duplicate them.  It is read off the module at each miss, so a wrapper
+    set on varcalc.apply_op sees assembly.
     """
     key = (op.name, bd.p, bd.d, c)
     if key not in _PIECE_CACHE:
         up = Bidegree(bd.p + 1, bd.d + 1)
         _PIECE_CACHE[key] = operator_matrix(
-            op.apply_direct, enumerate_piece_basis(bd, c, False),
+            functools.partial(varcalc.apply_op, op), enumerate_piece_basis(bd, c, False),
             enumerate_piece_basis(up, c_out, False))
+    return _PIECE_CACHE[key]
+
+
+def _minus_d1_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
+    """The d1 block negated, cached, so each entry is negated once."""
+    key = ("-d1", p, d, c)
+    if key not in _PIECE_CACHE:
+        d1 = d1_piece_matrix(p, d, c)
+        _PIECE_CACHE[key] = OperatorMatrix(d1.domain, d1.codomain, tuple(
+            tuple((i, -x) for i, x in col) for col in d1.cols))
     return _PIECE_CACHE[key]
 
 
@@ -256,13 +270,13 @@ def dlambda_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
 
     The pencil sends l^a m to l^a d2(m) - l^(a+1) d1(m), so its matrix is
     the lambda_lift of the cached d2 block of count c - a into l^a and the
-    negated d1 block into l^(a+1).  No monomial is differentiated here, and
-    each block rejects its own codomain overflow.
+    cached negated d1 block into l^(a+1).  No monomial is differentiated
+    here, and each block rejects its own codomain overflow.
     """
     key = ("dlambda", p, d, c)
     if key not in _PIECE_CACHE:
         _PIECE_CACHE[key] = lambda_lift(Bidegree(p, d), Bidegree(p + 1, d + 1), c, [
-            ((d2_piece_matrix(p, d, c - a), a, 1), (d1_piece_matrix(p, d, c - a), a + 1, -1))
+            ((d2_piece_matrix(p, d, c - a), a), (_minus_d1_piece_matrix(p, d, c - a), a + 1))
             for a in range(c + 1)])
     return _PIECE_CACHE[key]
 

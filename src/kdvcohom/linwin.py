@@ -519,12 +519,14 @@ def intersect_with_coordinates(rows: Sequence[Row], allowed_idx) -> List[Row]:
             for row in ech.rows() if row[0][0] >= shift]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Matrix of a linear operator between two slice bases.
 
     One Row per domain monomial, in domain order, indexed by the codomain.
-    Matrices are cached and shared, so they are immutable.
+    Matrices are cached and shared, so they are immutable, and a matrix is
+    equal only to itself and hashes by identity: what is derived from a
+    matrix (specseq._WORK) is keyed by the object, with no column hashed.
     """
 
     domain: SliceBasis
@@ -559,30 +561,31 @@ def operator_matrix(op: Callable[[DiffPoly], DiffPoly], domain: SliceBasis,
 
 
 def lambda_lift(bd: Bidegree, up: Bidegree, c: int,
-                blocks: Sequence[Sequence[Tuple[OperatorMatrix, int, int]]]) -> OperatorMatrix:
+                blocks: Sequence[Sequence[Tuple[OperatorMatrix, int]]]) -> OperatorMatrix:
     """A matrix from the piece (bd, c) to (up, c), laid out of l-free blocks.
 
     l is even, central and constant, so the piece (bd, c) is the sum over a
     of l^a times the parameter-free piece (bd, c - a), and l sorts first,
     so these blocks lie end to end in the basis, each in its own order.
-    blocks[a] lists (matrix, s, sign) triples in increasing s: the matrix
-    maps (bd, c - a) to (up, c - s), and its images times sign land in the
-    l^s block of (up, c), after the blocks l^b, b < s.  A column is its
-    blocks' columns shifted by their offsets and joined, with no monomial
-    looked up.  Block sizes that miss the piece sizes raise CompositionError.
+    blocks[a] lists (matrix, s) pairs in increasing s: the matrix maps
+    (bd, c - a) to (up, c - s), and its images land as they are in the l^s
+    block of (up, c), after the blocks l^b, b < s.  A column is its blocks'
+    columns shifted by their offsets and joined, with no monomial looked up
+    and no entry changed.  Block sizes that miss the piece sizes raise
+    CompositionError.
     """
     domain = enumerate_piece_basis(bd, c, True)
     codomain = enumerate_piece_basis(up, c, True)
-    sizes = {s: len(mat.codomain) for triples in blocks for mat, s, _ in triples}
+    sizes = {s: len(mat.codomain) for pairs in blocks for mat, s in pairs}
     offsets = list(itertools.accumulate(
         (sizes.get(s, 0) for s in range(max(sizes, default=0) + 1)), initial=0))
     cols = []
-    for triples in blocks:
-        parts = [(mat.cols, offsets[s], sign > 0) for mat, s, sign in triples]
-        for j in range(len(triples[0][0].domain)):
+    for pairs in blocks:
+        parts = [(mat.cols, offsets[s]) for mat, s in pairs]
+        for j in range(len(pairs[0][0].domain)):
             col = []
-            for mcols, off, plus in parts:
-                col += [(i + off, x if plus else -x) for i, x in mcols[j]]
+            for mcols, off in parts:
+                col += [(i + off, x) for i, x in mcols[j]]
             cols.append(tuple(col))
     if len(cols) != len(domain) or offsets[-1] != len(codomain):
         raise CompositionError(

@@ -24,10 +24,11 @@ a single reduction (Edelsbrunner, Letscher and Zomorodian 2002; Basu and
 Parida 2017).  A column has entries only one degree up, so that reduction
 splits by degree: each differential's pairs, like its filtration check
 and its composite with the next differential, are computed once per
-matrix object and levels and shared by every slice holding them, as the
-cuts of one pencil piece do.  Z_r goes to the transversal as the Kernel
-of z_cols, and B_{r-1} and Z_{r-1} are spanned only where a relation is
-read; a page whose representatives do not number its dimension raises.
+matrix and levels, kept in a store keyed weakly by the matrix itself, and
+shared by every slice holding them, as the cuts of one pencil piece do.
+Z_r goes to the transversal as the Kernel of z_cols, and B_{r-1} and
+Z_{r-1} are spanned only where a relation is read; a page whose
+representatives do not number its dimension raises.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .linwin import (
 Pairs = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-class _DegreeWork(weakref.ref):
+class _DegreeWork:
     """The checks and the pairs of one differential d between fixed levels.
 
     A pencil piece differential is one cached OperatorMatrix, held with the
@@ -74,29 +75,22 @@ class _DegreeWork(weakref.ref):
     from d alone is done once and shared: the filtration axiom (checked
     when the work is made), the persistence pairs of its columns (on first
     use) and the vanishing of the composite with a next differential (the
-    one d2 it was last checked with).  The work is a weak reference to d:
-    _degree_work hands it out only while it points at d and only between
-    equal levels, a composite counts only for the very d2, and the store
-    forgets the work when d is collected.  So a slice built by hand is
-    checked as fully as before.
+    one d2 it was last checked with).  The store keys the work by d itself,
+    weakly: _degree_work hands it out only between equal levels, a
+    composite counts only for the very d2, and the work goes with d.  So a
+    slice built by hand is checked as fully as before.
     """
 
-    __slots__ = ("key", "levels", "squares_with", "_pairs")
-
-    def __new__(cls, d: OperatorMatrix, lv_dom: Tuple[int, ...],
-                lv_cod: Tuple[int, ...], n: int):
-        return super().__new__(cls, d, _forget)
+    __slots__ = ("levels", "squares_with", "_pairs")
 
     def __init__(self, d: OperatorMatrix, lv_dom: Tuple[int, ...],
                  lv_cod: Tuple[int, ...], n: int):
-        super().__init__(d, _forget)
         # the differential must not lower the filtration level
         for j, col in enumerate(d.cols):
             for i, _ in col:
                 if lv_cod[i] < lv_dom[j]:
                     raise CompositionError(
                         f"level drops along the differential at degree {n}")
-        self.key = id(d)
         self.levels = (lv_dom, lv_cod)
         self.squares_with: Optional[OperatorMatrix] = None
         self._pairs: Optional[Pairs] = None
@@ -139,23 +133,17 @@ class _DegreeWork(weakref.ref):
         return self._pairs
 
 
-# id(d) -> the work of the matrix d
-_WORK: Dict[int, _DegreeWork] = {}
-
-
-def _forget(work: _DegreeWork) -> None:
-    """Drop the work of a collected matrix, unless newer work took its key."""
-    if _WORK.get(work.key) is work:
-        del _WORK[work.key]
+# each differential's work, dropped when the matrix is collected
+_WORK: weakref.WeakKeyDictionary[OperatorMatrix, _DegreeWork] = weakref.WeakKeyDictionary()
 
 
 def _degree_work(d: OperatorMatrix, lv_dom: Tuple[int, ...], lv_cod: Tuple[int, ...],
                  n: int) -> _DegreeWork:
     """The shared work of d between the levels lv_dom and lv_cod, made
     (its level check run) when d is new or last came with other levels."""
-    work = _WORK.get(id(d))
-    if work is None or work() is not d or work.levels != (lv_dom, lv_cod):
-        work = _WORK[id(d)] = _DegreeWork(d, lv_dom, lv_cod, n)
+    work = _WORK.get(d)
+    if work is None or work.levels != (lv_dom, lv_cod):
+        work = _WORK[d] = _DegreeWork(d, lv_dom, lv_cod, n)
     return work
 
 
@@ -172,10 +160,10 @@ class FilteredSlice:
     slice cannot be built.  validate() checks the shapes, the filtration
     axiom and that the differential squares to zero, every composite d
     after d computed exactly in integer arithmetic (OperatorMatrix.apply_all);
-    the last two are done once per differential (_DegreeWork) for all the
-    slices that hold it between the same levels.  The pairing behind every
-    page dimension is a cached property, merged on first use from the pairs
-    of each differential.
+    the last two are done once per differential (_DegreeWork, keyed by the
+    matrix object) for all the slices that hold it between the same levels.
+    The pairing behind every page dimension is a cached property, merged on
+    first use from the pairs of each differential.
     """
 
     degrees: Tuple[int, ...]
@@ -283,10 +271,6 @@ class FilteredSlice:
     def max_level(self) -> int:
         vals = [l for n in self.degrees for l in self.levels[n]]
         return max(vals) if vals else 0
-
-    def span_bound(self) -> int:
-        """All page differentials vanish strictly beyond this page index."""
-        return self.max_level() - self.min_level() + 1
 
 
 def z_cols(fs: FilteredSlice, r: int, p: int, n: int) -> List[Row]:

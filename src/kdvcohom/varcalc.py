@@ -74,9 +74,8 @@ class OperatorSpec:
     * its memo: the image of each parameter-free monomial it has been
       applied to.  Calling the operator applies it term by term through
       the memo (algebra.apply_memoized); a miss runs the derivation kernel
-      on the monomial alone.  apply_direct is apply_op, which reads no
-      memo; piece-matrix assembly uses it, since a piece matrix caches its
-      own columns.
+      on the monomial alone.  apply_op reads no memo; piece-matrix
+      assembly uses it, since a piece matrix caches its own columns.
 
     even_seed, odd_seed, even_gen and odd_gen build a fresh polynomial on
     every call, and every call builds a fresh result, so nothing a caller
@@ -129,10 +128,6 @@ class OperatorSpec:
     def __call__(self, a: DiffPoly) -> DiffPoly:
         return apply_memoized(a, self._memo, self._even_image, self._odd_image)
 
-    def apply_direct(self, a: DiffPoly) -> DiffPoly:
-        """The operator applied to a by apply_op, reading no memo."""
-        return apply_op(self, a)
-
     def __repr__(self) -> str:
         return (f"OperatorSpec({self.even_seed!r}, {self.odd_seed!r}, "
                 f"name={self.name!r})")
@@ -179,7 +174,7 @@ def dtot_piece_matrix(p: int, d: int, c: int, include_lambda: bool) -> OperatorM
     if key not in _DTOT_PIECE:
         bd, up = Bidegree(p, d - 1), Bidegree(p, d)
         if include_lambda:
-            mat = lambda_lift(bd, up, c, [((dtot_piece_matrix(p, d, c - a, False), a, 1),)
+            mat = lambda_lift(bd, up, c, [((dtot_piece_matrix(p, d, c - a, False), a),)
                                           for a in range(c + 1)])
         else:
             mat = operator_matrix(dtot_direct, enumerate_piece_basis(bd, c, False),

@@ -123,15 +123,18 @@ def test_lambda_lift_lays_blocks_at_their_offsets():
     up, bd = Bidegree(0, 1), Bidegree(0, 0)
     free = [operator_matrix(dtot, enumerate_piece_basis(bd, 2 - a, False),
                             enumerate_piece_basis(up, 2 - a, False)) for a in range(3)]
-    lift = linwin.lambda_lift(bd, up, 2, [((m, a, 1),) for a, m in enumerate(free)])
+    lift = linwin.lambda_lift(bd, up, 2, [((m, a),) for a, m in enumerate(free)])
     assert [m.format() for m in lift.codomain.monomials] == ["u u1", "l u1"]
     assert lift.cols == operator_matrix(dtot, lift.domain, lift.codomain).cols
-    # a minus sign negates; a block sent one l-power up lands at its offset
-    neg = linwin.lambda_lift(bd, up, 2, [((free[0], 0, -1),), ((free[1], 1, -1),),
-                                         ((free[2], 2, -1),)])
-    assert neg.cols == tuple(tuple((i, -x) for i, x in col) for col in lift.cols)
+    # blocks are laid as they are: a negated block lands negated, and a
+    # block sent one l-power up lands at its offset
+    neg = [linwin.OperatorMatrix(m.domain, m.codomain,
+                                 tuple(tuple((i, -x) for i, x in col) for col in m.cols))
+           for m in free]
+    lifted = linwin.lambda_lift(bd, up, 2, [((m, a),) for a, m in enumerate(neg)])
+    assert lifted.cols == tuple(tuple((i, -x) for i, x in col) for col in lift.cols)
     with pytest.raises(CompositionError, match="do not make the pieces"):
-        linwin.lambda_lift(bd, up, 2, [((m, a, 1),) for a, m in enumerate(free[:2])])
+        linwin.lambda_lift(bd, up, 2, [((m, a),) for a, m in enumerate(free[:2])])
 
 
 def test_piece_without_lambda():

@@ -39,6 +39,11 @@ def _basis(bd, names, label=""):
                       label=label)
 
 
+def _span_bound(fs):
+    """All page differentials vanish strictly beyond this page index."""
+    return fs.max_level() - fs.min_level() + 1
+
+
 def _slice(degrees, bases, levels, ops):
     diffs = {}
     for n, op in ops.items():
@@ -197,7 +202,7 @@ def test_pages_keep_the_euler_characteristic(k, c):
     fs = pencil_filtered_slice(k, c)
     chi = sum((-1) ** n * fs.dim(n) for n in fs.degrees)
     levels = range(fs.min_level(), fs.max_level() + 1)
-    for r in range(fs.span_bound() + 2):
+    for r in range(_span_bound(fs) + 2):
         got = sum((-1) ** n * page(fs, r, p, n - p).dim
                   for n in fs.degrees for p in levels)
         assert got == chi, r
@@ -223,7 +228,7 @@ def _scan_dr_is_zero(fs, r):
 
 
 def _scan_collapse_at(fs):
-    bound = fs.span_bound()
+    bound = _span_bound(fs)
     flags = [_scan_dr_is_zero(fs, r) for r in range(bound + 1)]
     return next((r for r in range(bound + 1) if all(flags[r:])), bound + 1)
 
@@ -234,7 +239,7 @@ UNTRUNCATED = [(k, c) for k in range(-1, 4) for c in range(6)]
 @pytest.mark.parametrize("k,c", UNTRUNCATED)
 def test_pairing_dims_match_the_spans_on_every_page(k, c):
     fs = pencil_filtered_slice(k, c)
-    for r in range(fs.span_bound() + 2):
+    for r in range(_span_bound(fs) + 2):
         for n in fs.degrees:
             for p in range(fs.min_level(), fs.max_level() + 1):
                 assert page(fs, r, p, n - p).dim == _span_dim(fs, r, p, n), (r, p, n)
@@ -263,7 +268,7 @@ def test_b_rows_is_the_filtered_image(k, c):
         if d is None:
             continue
         lv_dom, lv = fs.levels[n - 1], fs.levels[n]
-        for r in range(fs.span_bound() + 2):
+        for r in range(_span_bound(fs) + 2):
             for p in range(fs.min_level(), fs.max_level() + 1):
                 got = b_rows(fs, r, p, n)
                 cols = [col for j, col in enumerate(d.cols) if lv_dom[j] >= p - r]
@@ -441,24 +446,29 @@ def test_shared_pairs_follow_the_levels():
         two_degrees((1, 1), (0,))
 
 
-def test_work_is_handed_only_to_its_own_matrix(monkeypatch):
-    # the store is keyed by id(), which a new matrix can reuse once the old
-    # one is collected: work found under a matrix's id but made for another
-    # (planted here) is never handed out, so the level check still runs
+def test_work_leaves_the_store_with_its_matrix():
+    # the store keys each differential's work by the matrix itself, weakly:
+    # once a hand-built matrix is collected its work is gone, and a new
+    # matrix with the same columns runs its own level check
+    import gc
+    import weakref
     from fractions import Fraction as F
-    store = {}
-    monkeypatch.setattr(specseq, "_WORK", store)
-    up = linwin.OperatorMatrix(_numbers(1), _numbers(2), (((0, F(1)),),))
-    down = linwin.OperatorMatrix(_numbers(1), _numbers(2), (((1, F(1)),),))
+    cols = (((1, F(1)),),)
 
-    def two_degrees(d):
-        return FilteredSlice(degrees=(0, 1), bases={0: d.domain, 1: d.codomain},
-                             levels={0: (1,), 1: (0, 1)}, diffs={0: d}, cut=True)
+    def two_degrees(lv_cod):
+        d = linwin.OperatorMatrix(_numbers(1), _numbers(2), cols)
+        FilteredSlice(degrees=(0, 1), bases={0: d.domain, 1: d.codomain},
+                      levels={0: (1,), 1: lv_cod}, diffs={0: d}, cut=True)
+        return d
 
-    two_degrees(down)
-    store[id(up)] = store[id(down)]
+    d = two_degrees((0, 1))
+    assert d in specseq._WORK
+    gone = weakref.ref(d)
+    del d
+    gc.collect()
+    assert gone() is None
     with pytest.raises(CompositionError, match="level drops along the differential"):
-        two_degrees(up)
+        two_degrees((1, 0))
 
 
 def test_a_checked_square_holds_only_for_its_next_matrix():
