@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
+from . import varcalc
 from .algebra import (
     Bidegree,
     DiffPoly,
@@ -40,7 +41,6 @@ from .linwin import (
     lambda_lift,
     operator_matrix,
 )
-from . import varcalc
 from .specseq import FilteredSlice
 from .varcalc import OperatorSpec, build_dp
 
