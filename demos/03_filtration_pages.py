@@ -26,8 +26,8 @@ from kdvcohom import (
 fs = pencil_filtered_slice(k=1, c=2)
 print("piece k=1 c=2, standard degrees", list(fs.degrees))
 for n in fs.degrees:
-    names = [m.format() or "1" for m in fs.bases[n].monomials]
-    print(f"  degree {n}: dim {fs.dim(n)}, levels {list(fs.levels[n])}")
+    names = [m.format() or "1" for m in fs.basis(n).monomials]
+    print(f"  degree {n}: dim {fs.dim(n)}, levels {list(fs.levels(n))}")
     print(f"    basis: {', '.join(names)}")
 
 # -- page one ------------------------------------------------------------------

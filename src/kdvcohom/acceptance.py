@@ -52,10 +52,10 @@ from .varcalc import OperatorSpec, delta_theta, delta_u, schouten
 
 F1 = Fraction(1)
 
-# a page at total n reads degrees n - 1, n and n + 1, so a slice cut one
-# degree past the largest total it serves holds every page space used below
+# the largest total p + q of a page position that the page counts take:
+# the battery counts every position up to it, and the cost guard of the
+# pages report is sized for it
 _MAX_TOTAL = 6
-_D_CAP = _MAX_TOTAL + 1
 
 
 @dataclass
@@ -175,41 +175,32 @@ def run_verify_suite(name: str, max_d: int = 6, window: Window = Window(3, 2),
                        time.perf_counter() - start)
 
 
-# -- pages of the truncated pencil pieces ---------------------------------------
+# -- pages of the pencil pieces ----------------------------------------------
 
 
-def _pencil_page(k: int, c: int, r: int, p: int, n: int,
-                 max_total: Optional[int] = None) -> Optional[PageEntry]:
-    """Page entry of the pencil piece cut one degree past max_total (by
-    default past n itself), or None when degree n is absent."""
-    reach = n + 1 if max_total is None else max_total + 1
-    fs = pencil_filtered_slice(k, c, d_cap=reach)
+def _pencil_page(k: int, c: int, r: int, p: int, n: int) -> Optional[PageEntry]:
+    """Page entry of the pencil piece, or None when degree n is absent."""
+    fs = pencil_filtered_slice(k, c)
     if n not in fs.degrees:
         return None
     return page(fs, r, p, n - p)
 
 
-def windowed_page_counts(r: int, p: int, q: int, windows: Sequence[Window],
-                         max_total: Optional[int] = None) -> List[int]:
+def windowed_page_counts(r: int, p: int, q: int, windows: Sequence[Window]) -> List[int]:
     """Window counts of one page position, one per window, each summed over
     all pieces meeting it; every piece's entry is built once for all windows.
 
-    The pieces are cut one degree past max_total, by default past p + q;
-    a report passes its largest total, so that its positions share one
-    slice per piece.  A position past the total _MAX_TOTAL, or a max_total
-    below p + q or above _MAX_TOTAL, raises ValueError."""
+    A page at total n builds each piece only up to degree n + 1.  A
+    position past the total _MAX_TOTAL raises ValueError."""
     n = p + q
     if n > _MAX_TOTAL:
         raise ValueError(f"page position ({p},{q}) lies past the total "
-                         f"{_MAX_TOTAL} the truncated slices reach")
-    if max_total is not None and not n <= max_total <= _MAX_TOTAL:
-        raise ValueError(f"max_total {max_total} must lie in {n}..{_MAX_TOTAL} "
-                         f"for the page position ({p},{q})")
+                         f"{_MAX_TOTAL} that page counts take")
     tops = [w.N + w.L + n for w in windows]
     got = [0] * len(windows)
     for k in range(max(-1, n - p_bound(n)), n + 1):
         for c in range(max(tops) + 1):
-            pg = _pencil_page(k, c, r, p, n, max_total)
+            pg = _pencil_page(k, c, r, p, n)
             if pg is None:
                 continue
             for i, w in enumerate(windows):
@@ -225,11 +216,12 @@ def windowed_page_count(r: int, p: int, q: int, w: Window) -> int:
 
 def page_spots(max_total: int) -> Iterator[Bidegree]:
     """The bidegrees whose pieces the page counts up to the total max_total
-    build, by increasing degree: the slices reach degree max_total + 1, and
-    no differential leaves their top.  Those pieces carry l, with counts up
-    to the largest N + L of the windows plus max_total.  Their count is an
-    upper bound, as not every count of every piece is built (8425 against
-    8265 monomials built by default, 31583 against 30827 at max_total 6)."""
+    build, by increasing degree: the slices are read up to degree
+    max_total + 1, and no differential out of that degree is built.  Those
+    pieces carry l, with counts up to the largest N + L of the windows plus
+    max_total.  Their count is an upper bound, as not every count of every
+    piece is built (8425 against 8264 monomials built by default, 31583
+    against 30826 at max_total 6)."""
     return (bd for bd in spots_up_to(max_total + 1) if bd.d - bd.p <= max_total)
 
 
@@ -270,7 +262,7 @@ def check_first_structure_cohomology() -> Tuple[bool, str]:
 def _ladder_page_counts(r: int) -> Dict[Tuple[int, int], List[int]]:
     """Page-r counts at every position of total degree <= _MAX_TOTAL, one
     per window of the default ladder."""
-    return {(p, n - p): windowed_page_counts(r, p, n - p, DEFAULT_LADDER, _MAX_TOTAL)
+    return {(p, n - p): windowed_page_counts(r, p, n - p, DEFAULT_LADDER)
             for n in range(_MAX_TOTAL + 1) for p in range(n + 1)}
 
 
@@ -304,7 +296,7 @@ def check_page_one_differential() -> Tuple[bool, str]:
             q = n - p
             for k in range(max(-1, n - p_bound(n)), n + 2):
                 for c in range(8):
-                    fs = pencil_filtered_slice(k, c, d_cap=_D_CAP)
+                    fs = pencil_filtered_slice(k, c)
                     if n not in fs.degrees or n + 1 not in fs.degrees:
                         continue
                     src, dst, cols = page_dr_matrix(fs, 1, p, q)

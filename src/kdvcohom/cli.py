@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -42,8 +43,8 @@ _SCHEMA = 1
 # verify, pages and bh refuse a run whose pieces hold more monomials than
 # this.  The largest size that the defaults, the acceptance battery, the
 # demos and the benchmark reach is 31583 (the battery's pages, to total 6
-# over the default ladder; page_spots counts every piece the slices hold,
-# an upper bound on the 30827 monomials built); bh --kind bh_F near the
+# over the default ladder; page_spots counts every piece the slices read,
+# an upper bound on the 30826 monomials built); bh --kind bh_F near the
 # budget runs for minutes.
 _COST_BUDGET = 100_000
 
@@ -203,8 +204,7 @@ def _cmd_pages(args, parser) -> Tuple[dict, bool, str]:
         for p in range(n + 1):
             q = n - p
             counts = dict(zip(headers,
-                              windowed_page_counts(args.page, p, q, args.windows,
-                                                   args.max_total)))
+                              windowed_page_counts(args.page, p, q, args.windows)))
             entries.append({"p": p, "q": q, "counts": counts})
             if any(counts.values()):
                 row = " ".join(str(counts[h]).rjust(len(h)) for h in headers)
@@ -289,6 +289,11 @@ def _cmd_acceptance(args, parser) -> Tuple[dict, bool, str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # refuse an unwritable --out before any matrix is built; the report is
+    # still written only once it is complete
+    if args.out and (os.path.isdir(args.out) or not os.access(
+            os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
+        parser.error(f"--out {args.out} is a directory or lies in no writable directory")
     if args.command == "verify":
         payload, ok, text = _cmd_verify(args, parser)
     elif args.command == "pages":

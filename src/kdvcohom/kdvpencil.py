@@ -292,42 +292,22 @@ def d2_piece_matrix(p: int, d: int, c: int) -> OperatorMatrix:
 
 
 @lru_cache(maxsize=None)
-def _piece_levels(p: int, d: int, c: int) -> Tuple[int, ...]:
-    """Filtration levels of the piece basis, one tuple for every cut of the
-    piece, so that its differentials' shared work is found at once."""
-    return tuple(d - m.max_jet() for m in enumerate_piece_basis(Bidegree(p, d), c).monomials)
-
-
-@lru_cache(maxsize=None)
-def pencil_filtered_slice(k: int, c: int, d_cap: Optional[int] = None) -> FilteredSlice:
+def pencil_filtered_slice(k: int, c: int) -> FilteredSlice:
     """The finite filtered complex of one even-count piece.
 
     k is the difference of standard and super degree, preserved by the
     pencil differential; together with the even-factor count it cuts the
     complex into finite pieces with no truncation anywhere.  The top slice
     maps into an empty one, which doubles as a check that the differential
-    really ends there.  A degree cap that drops the tail of the complex
-    cuts the slice: its top degree keeps its basis but no differential out
-    of it is built, and pages are exact at every degree below that top.
+    really ends there.  No basis is enumerated and no matrix is built
+    until a reader of the slice reaches its degree.
     """
-    bds = subcomplex_bidegrees(k)
-    kept = [bd for bd in bds if d_cap is None or bd.d <= d_cap]
-    if not kept:
-        return FilteredSlice((), {}, {}, {}, label=f"pencil k={k} c={c}")
-    cut = len(kept) < len(bds)
-    degrees = tuple(bd.d for bd in kept)
-    bases = {}
-    levels = {}
-    diffs = {}
-    for bd in kept:
-        if cut and bd.d == degrees[-1]:
-            # the very basis object the differential below maps into
-            bases[bd.d] = enumerate_piece_basis(bd, c)
-        else:
-            # at the true top of the complex the codomain is the empty
-            # next piece basis
-            diffs[bd.d] = dlambda_piece_matrix(bd.p, bd.d, c)
-            bases[bd.d] = diffs[bd.d].domain
-        levels[bd.d] = _piece_levels(bd.p, bd.d, c)
-    return FilteredSlice(degrees, bases, levels, diffs,
-                         label=f"pencil k={k} c={c}", cut=cut)
+    spots = {bd.d: bd for bd in subcomplex_bidegrees(k)}
+
+    def piece(n: int) -> Tuple[SliceBasis, Tuple[int, ...]]:
+        basis = enumerate_piece_basis(spots[n], c)
+        return basis, tuple(n - m.max_jet() for m in basis.monomials)
+
+    return FilteredSlice(tuple(spots), piece,
+                         lambda n: dlambda_piece_matrix(spots[n].p, n, c),
+                         f"pencil k={k} c={c}")

@@ -19,12 +19,12 @@ denominators; an entry that is not an int or a Fraction raises TypeError)
 and come out (divided by the pivot entry, or by the scale of a remainder).
 rref, reduce_against, in_span, nullspace and intersect_with_coordinates
 take and return Rows, rank_of and added_pivots take Rows; all of them, and
-a Kernel (the space a map cuts out, which quotient_representatives takes
-in place of spanning Rows), are thin views of it.  Every coordinate is one
-exact solve, quotient_coordinates (solve is its one-vector case).  Matrix
-products run on ints the same way: OperatorMatrix.apply_all scales the
-columns it reads once per call and builds a Fraction only for a nonzero
-entry of an image, which is how composites (d after d, say) are formed.
+a Kernel (the space a map cuts out, which quotient_representatives takes),
+are thin views of it.  Every coordinate is one exact solve,
+quotient_coordinates (solve is its one-vector case).  Matrix products run
+on ints the same way: OperatorMatrix.apply_all scales the columns it reads
+once per call and builds a Fraction only for a nonzero entry of an image,
+which is how composites (d after d, say) are formed.
 SliceBasis.vector_of gives the Row of a polynomial.  Published
 representatives are dense tuples, written and read back only here.  The
 reduced form of a span is unique, so every result is canonical; no
@@ -41,7 +41,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Bidegree, DiffPoly, Monomial, _integers
 
@@ -525,8 +525,7 @@ class OperatorMatrix:
 
     One Row per domain monomial, in domain order, indexed by the codomain.
     Matrices are cached and shared, so they are immutable, and a matrix is
-    equal only to itself and hashes by identity: what is derived from a
-    matrix (specseq._WORK) is keyed by the object, with no column hashed.
+    equal only to itself and hashes by identity, with no column hashed.
     """
 
     domain: SliceBasis
@@ -603,20 +602,19 @@ class HomologyDims(NamedTuple):
     homology: int
 
 
-def quotient_representatives(ambient: SliceBasis, space: Union[Kernel, Sequence[Row]],
+def quotient_representatives(ambient: SliceBasis, space: Kernel,
                              relation_rows: Sequence[Row]):
     """Deterministic transversal of space/span(relations).
 
-    The space is a Kernel or spanning Rows; the relation rows, any spanning
-    set (repeats, zero rows), are each checked to lie in it, then one
-    echelon reduces them and is extended by each accepted candidate.
+    The space is a Kernel (an Echelon of spanning Rows reads the same); the
+    relation rows, any spanning set (repeats, zero rows), are each checked
+    to lie in it, then one echelon reduces them and is extended by each
+    accepted candidate.
     Preference is given to single monomials in canonical order, so whenever
     the quotient admits a monomial transversal the representatives are
     plain monomials; otherwise reduced space rows fill the remainder.
     Returns a list of (Row, monomial-or-None) pairs.
     """
-    if not isinstance(space, Kernel):
-        space = Echelon(space)
     if not all(space.contains(row) for row in relation_rows):
         raise CompositionError("relations are not contained in the space")
     acc = Echelon(relation_rows)

@@ -104,49 +104,33 @@ FAULTS = (
           "        return _poly({**self.terms, **{m: self.terms.get(m, _F0) - c\n"
           "                                       for m, c in other.terms.items()}})\n",
           ("tests/test_algebra.py::test_results_hold_only_nonzero_fractions",)),
-    # a cut slice holds no differential out of its top, so only the flag
-    # tells that degree apart from a true top
-    Fault("leaves-slice-ignores-cut", "specseq.py",
-          "        return self.cut and self.degrees[-1:] == (n,)\n",
-          "        d = self.diffs.get(n)\n"
-          "        return d is not None and len(d.codomain) > 0 and not self.bases.get(n + 1)\n",
-          ("tests/test_specseq.py::test_every_reader_of_a_cut_top_raises",
-           "tests/test_specseq.py::test_truncation_boundary_pages_raise",
-           "tests/test_specseq.py::test_validate_rejects_a_differential_that_leaves_the_slice")),
-    # a page at total n reads degree n + 1, so a slice cut at n leaves it
-    # on the boundary
-    Fault("position-reach-not-past-itself", "acceptance.py",
-          "reach = n + 1 if max_total is None", "reach = n if max_total is None",
-          ("tests/test_acceptance.py::test_windowed_page_count_matches_the_pages_report",
-           "tests/test_acceptance.py::test_page_counts_refuse_positions_past_the_truncation",
-           "tests/test_acceptance.py::test_page_counts_refuse_a_reach_outside_the_slices")),
-    # z_cols raises at the top only where the page is nonzero; an empty
-    # page there must raise too
-    Fault("page-boundary-test-dropped", "specseq.py",
-          "    if fs.leaves_slice(n) and fs.level_indices(n, p):\n"
-          "        fs.require_inside([n])\n", "",
-          ("tests/test_specseq.py::test_every_reader_of_a_cut_top_raises",)),
-    # the work of a differential is shared only between equal levels: the
-    # pairs follow the level order, and the level check needs the levels
-    Fault("work-shared-across-levels", "specseq.py",
-          "    if work is None or work.levels != (lv_dom, lv_cod):\n",
-          "    if work is None:\n",
-          ("tests/test_specseq.py::test_shared_pairs_follow_the_levels",)),
-    # the store holds each matrix's work weakly, so the work goes with it
-    Fault("work-outlives-its-matrix", "specseq.py",
-          "] = weakref.WeakKeyDictionary()", "] = {}",
-          ("tests/test_specseq.py::test_work_leaves_the_store_with_its_matrix",)),
-    # a composite checked with one next differential vouches for no other
-    Fault("square-shared-across-successors", "specseq.py",
-          "        if self.squares_with is not d2:\n",
-          "        if self.squares_with is None:\n",
-          ("tests/test_specseq.py::test_a_checked_square_holds_only_for_its_next_matrix",)),
     # the columns left out are the codomain vectors paired below, not the
     # columns paired below
     Fault("clearing-the-wrong-side", "specseq.py",
-          "cleared = set(below[1])", "cleared = set(below[0])",
+          "cleared = set(self.pairs(n - 1)[1])", "cleared = set(self.pairs(n - 1)[0])",
           ("tests/test_specseq.py::test_every_cut_shares_the_pairs_of_one_global_elimination",
            "tests/test_specseq.py::test_whole_pieces_pair_as_one_global_elimination")),
+    # a differential is composed with the one below it as the slice builds it
+    Fault("composite-with-below-skipped", "specseq.py",
+          "if below is not None and any(d.apply_all(below.cols)):", "if False:",
+          ("tests/test_specseq.py::test_a_checked_square_holds_only_for_its_next_matrix",
+           "tests/test_linwin.py::test_validate_catches_a_single_sixth",
+           "tests/test_linwin.py::test_homology_rejects_nonzero_composite")),
+    # a slice builds a degree only when a reader reaches it
+    Fault("slice-built-eagerly", "kdvpencil.py",
+          "    return FilteredSlice(tuple(spots), piece,\n"
+          "                         lambda n: dlambda_piece_matrix(spots[n].p, n, c),\n"
+          "                         f\"pencil k={k} c={c}\")\n",
+          "    fs = FilteredSlice(tuple(spots), piece,\n"
+          "                       lambda n: dlambda_piece_matrix(spots[n].p, n, c),\n"
+          "                       f\"pencil k={k} c={c}\")\n"
+          "    for n in fs.degrees:\n"
+          "        fs.diff(n)\n"
+          "    return fs\n",
+          ("tests/test_kdvpencil.py::test_a_fresh_slice_enumerates_no_basis_until_read",
+           "tests/test_kdvpencil.py::test_cut_slice_stops_at_its_top_basis",
+           "tests/test_specseq.py::test_pages_read_no_degree_past_the_next_one",
+           "tests/test_specseq.py::test_every_cut_shares_the_pairs_of_one_global_elimination")),
     # a term l^a m reads the stored image of m, which must be lifted by l^a
     Fault("lambda-shift-dropped", "algebra.py",
           "_new(Monomial, (ml + lam, u0, even, odd))", "_new(Monomial, (ml, u0, even, odd))",

@@ -110,8 +110,8 @@ def test_two_window_ladder_builds_each_nonzero_page_once(monkeypatch, capsys):
 
 
 def test_windowed_page_count_matches_the_pages_report(capsys):
-    # one position alone reaches one degree past itself; the report cuts
-    # every slice one degree past its largest total
+    # one position alone reads each piece one degree past itself; the
+    # report reads the same slices up to one degree past its largest total
     assert main(["--format", "json", "pages", "--max-total", "6",
                  "--windows", "2:1,3:2"]) == 0
     entries = json.loads(capsys.readouterr().out)["entries"]
@@ -122,20 +122,10 @@ def test_windowed_page_count_matches_the_pages_report(capsys):
         assert got == e["counts"], (e["p"], e["q"])
 
 
-def test_page_counts_refuse_a_reach_outside_the_slices():
-    w = Window(2, 1)
-    assert windowed_page_counts(1, 1, 2, [w], max_total=3) == \
-        windowed_page_counts(1, 1, 2, [w], max_total=6) == [windowed_page_count(1, 1, 2, w)]
-    for max_total in (2, 7):
-        with pytest.raises(ValueError, match=r"max_total .* must lie in 3\.\.6"):
-            windowed_page_counts(1, 1, 2, [w], max_total=max_total)
-
-
 def test_page_counts_refuse_positions_past_the_truncation():
-    # the slices reach degree _D_CAP at most, one past the largest total
-    # counted, so a page of total 7 would read as empty (the model basis
-    # at (3, 4) holds 6 classes); total 6 still matches the model
-    assert acceptance._D_CAP == acceptance._MAX_TOTAL + 1
+    # page counts take totals up to _MAX_TOTAL = 6, which match the model
+    # basis; a position of total 7 is refused
+    assert acceptance._MAX_TOTAL == 6
     w = Window(2, 1)
     assert windowed_page_count(1, 3, 3, w) == len(e1_basis(3, 3, w)) == 12
     with pytest.raises(ValueError, match=r"\(3,4\) lies past the total 6"):

@@ -145,6 +145,22 @@ def test_out_file(tmp_path, capsys):
     assert doc["tables"]["bh_A"]["0,0"] == 1
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before any matrix is built, with the usage exit code
+    from kdvcohom import cli
+
+    def no_run(names=None):
+        raise AssertionError("the battery ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_acceptance", no_run)
+    for out in (tmp_path / "missing" / "report.txt", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), "acceptance"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     # a spot above the degree bound was never computed
     ["bh", "--kind", "dlambda_A", "--bidegree", "3,3", "--max-d", "2",

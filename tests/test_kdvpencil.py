@@ -222,10 +222,11 @@ def test_pencil_filtered_slice_shapes():
     fs = pencil_filtered_slice(0, 1)
     assert fs.degrees == (0, 1, 2, 3)
     assert [fs.dim(n) for n in fs.degrees] == [2, 3, 3, 2]
-    fs.validate()
+    # reading a differential builds and checks it
+    assert all(fs.diff(n) is not None for n in fs.degrees)
     fs1 = pencil_filtered_slice(1, 1)
     assert [fs1.dim(n) for n in fs1.degrees] == [1, 4, 6, 3]
-    fs1.validate()
+    assert all(fs1.diff(n) is not None for n in fs1.degrees)
     assert pencil_filtered_slice(-2, 3).degrees == ()
 
 
@@ -234,9 +235,10 @@ def test_pencil_slice_degrees_share_one_basis():
     # is the very basis object of the next degree
     for k in range(-1, 5):
         for c in range(8):
-            fs = pencil_filtered_slice(k, c, d_cap=7)
+            fs = pencil_filtered_slice(k, c)
             for n in fs.degrees[:-1]:
-                assert fs.diffs[n].codomain is fs.bases[n + 1], (k, c, n)
+                if n < 7:
+                    assert fs.diff(n).codomain is fs.basis(n + 1), (k, c, n)
     # and every other user of a piece gets that same object too
     from kdvcohom.cohomeng import piece_homology
     for p, d, c in [(1, 1, 2), (2, 3, 1), (3, 3, 2), (2, 4, 3)]:
@@ -275,13 +277,15 @@ def test_pencil_slice_applies_no_pencil_to_monomials(monkeypatch):
     monkeypatch.setattr(varcalc, "apply_op", counting)
     monkeypatch.setattr(kdvpencil, "_PIECE_CACHE", {})
     fs = pencil_filtered_slice.__wrapped__(2, 6)
+    got = [tuple(homology_at(fs, n)) for n in fs.degrees]
     assert DLAMBDA.name not in applied
     assert applied["d1"] > 0 and applied["d2"] > 0
-    assert [tuple(homology_at(fs, n)) for n in fs.degrees] == [
-        tuple(homology_at(pencil_filtered_slice(2, 6), n)) for n in fs.degrees]
+    assert got == [tuple(homology_at(pencil_filtered_slice(2, 6), n)) for n in fs.degrees]
 
 
-def test_cut_slice_stops_at_its_top_basis(monkeypatch):
+def _recording_enumeration(monkeypatch):
+    """The degrees of every piece basis enumerated from now on, in order,
+    with the piece matrices built anew."""
     from kdvcohom import linwin
     enumerated = []
     piece_basis = linwin._piece_basis
@@ -292,22 +296,35 @@ def test_cut_slice_stops_at_its_top_basis(monkeypatch):
 
     monkeypatch.setattr(linwin, "_piece_basis", recording)
     monkeypatch.setattr(kdvpencil, "_PIECE_CACHE", {})
-    fs = pencil_filtered_slice.__wrapped__(2, 3, 5)
-    top = fs.degrees[-1]
-    assert top == 5 and fs.cut
-    assert top not in fs.diffs and top in fs.bases and len(fs.levels[top]) == fs.dim(top)
-    assert all(fs.diffs[n].codomain is fs.bases[n + 1] for n in fs.degrees[:-1])
+    return enumerated
+
+
+def test_a_fresh_slice_enumerates_no_basis_until_read(monkeypatch):
+    enumerated = _recording_enumeration(monkeypatch)
+    fs = pencil_filtered_slice.__wrapped__(2, 3)
+    assert fs.degrees == (2, 3, 4, 5, 6) and enumerated == []
+    # a degree's levels come with its basis, enumerated once
+    assert len(fs.levels(4)) == fs.dim(4) == len(fs.basis(4))
+    assert enumerated == [4]
+
+
+def test_cut_slice_stops_at_its_top_basis(monkeypatch):
+    # a slice read up to the differential out of degree 4 stops at the
+    # basis of degree 5, its codomain
+    enumerated = _recording_enumeration(monkeypatch)
+    fs = pencil_filtered_slice.__wrapped__(2, 3)
+    assert fs.diff(4).codomain is fs.basis(5)
+    assert all(fs.diff(n).codomain is fs.basis(n + 1) for n in (2, 3))
     assert enumerated and max(enumerated) == 5
-    # uncut, the top maps into the empty piece past it
-    whole = pencil_filtered_slice.__wrapped__(2, 3, 6)
-    assert not whole.cut and whole.degrees == pencil_filtered_slice(2, 3).degrees
-    assert len(whole.diffs[whole.degrees[-1]].codomain) == 0
+    # read whole, the top maps into the empty piece past it
+    top = fs.degrees[-1]
+    assert top == 6 and len(fs.diff(top).codomain) == 0 and fs.basis(top + 1) is None
 
 
 def test_pencil_filtered_slice_levels():
     fs = pencil_filtered_slice(0, 1)
-    b = fs.bases[3]
-    assert all(lv == 3 - m.max_jet() for lv, m in zip(fs.levels[3], b.monomials))
+    b = fs.basis(3)
+    assert all(lv == 3 - m.max_jet() for lv, m in zip(fs.levels(3), b.monomials))
 
 
 def test_cached_piece_matrices_cannot_be_mutated():
@@ -333,12 +350,12 @@ def test_cached_piece_matrices_cannot_be_mutated():
 
 def test_cached_filtered_slice_cannot_be_mutated():
     fs = pencil_filtered_slice(2, 3)
-    with pytest.raises(AttributeError):
-        fs.diffs.clear()
     with pytest.raises(TypeError):
-        fs.levels[fs.degrees[0]] = ()
+        fs.levels(3)[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         fs.degrees = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fs.label = ""
     assert pencil_filtered_slice(2, 3) is fs
     assert [tuple(homology_at(fs, n)) for n in fs.degrees] == [
         (0, 0, 0), (5, 5, 0), (13, 13, 0), (12, 12, 0), (4, 4, 0)]

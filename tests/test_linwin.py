@@ -433,11 +433,11 @@ def test_apply_to_vector_matches_operator():
 
 
 def _two_step(d_in, d_out):
-    """The complex d_in then d_out, every basis vector at filtration level 0."""
+    """The complex d_in then d_out, every basis vector at filtration level 0;
+    its differentials are checked when a reader first reaches them."""
     bases = {0: d_in.domain, 1: d_in.codomain, 2: d_out.codomain}
-    return FilteredSlice(degrees=(0, 1, 2), bases=bases,
-                         levels={n: (0,) * len(b) for n, b in bases.items()},
-                         diffs={0: d_in, 1: d_out}, label="two-step")
+    return FilteredSlice((0, 1, 2), lambda n: (bases[n], (0,) * len(bases[n])),
+                         {0: d_in, 1: d_out}.get, "two-step")
 
 
 def test_homology_dims_frozen():
@@ -456,8 +456,9 @@ def test_homology_rejects_nonzero_composite():
     s0 = window_basis(Bidegree(0, 0), w)
     s1 = window_basis(Bidegree(0, 1), w)
     s2 = window_basis(Bidegree(0, 2), w)
+    fs = _two_step(operator_matrix(dtot, s0, s1), operator_matrix(dtot, s1, s2))
     with pytest.raises(CompositionError, match="does not square to zero"):
-        _two_step(operator_matrix(dtot, s0, s1), operator_matrix(dtot, s1, s2))
+        homology_at(fs, 1)
 
 
 def test_homology_rejects_mismatched_middle():
@@ -466,9 +467,10 @@ def test_homology_rejects_mismatched_middle():
     s1 = window_basis(Bidegree(1, 1), w)
     s1b = window_basis(Bidegree(1, 1), Window(1, 0))
     s2 = window_basis(Bidegree(2, 2), w)
+    fs = _two_step(operator_matrix(d1_inline, s0, s1),
+                   operator_matrix(d1_inline, s1b, s2))
     with pytest.raises(CompositionError, match="domain mismatch"):
-        _two_step(operator_matrix(d1_inline, s0, s1),
-                  operator_matrix(d1_inline, s1b, s2))
+        homology_at(fs, 1)
 
 
 # -- integer composites -----------------------------------------------------------
@@ -541,14 +543,16 @@ def _composite_pair(cancel):
 def test_validate_catches_a_single_sixth():
     d, d2 = _composite_pair(cancel=False)
     assert d2.apply_all(d.cols) == [((1, F(1, 6)),)]
+    fs = _two_step(d, d2)
+    assert fs.diff(0) is d
     with pytest.raises(CompositionError, match="does not square to zero at degree 0"):
-        _two_step(d, d2)
+        fs.diff(1)
 
 
 def test_validate_passes_a_pair_cancelling_over_the_common_denominator():
     d, d2 = _composite_pair(cancel=True)
     assert d2.apply_all(d.cols) == [()]
-    _two_step(d, d2).validate()
+    assert _two_step(d, d2).diff(1) is d2
 
 
 def test_quotient_representatives_prefers_monomials():
@@ -559,7 +563,7 @@ def test_quotient_representatives_prefers_monomials():
     d_in = operator_matrix(d1_inline, s0, s1)
     d_out = operator_matrix(d1_inline, s1, s2)
     kernel = nullspace(transpose(d_out.cols), len(s1))
-    reps = quotient_representatives(s1, kernel, d_in.cols)
+    reps = quotient_representatives(s1, Echelon(kernel), d_in.cols)
     assert [m.format() for _, m in reps] == ["u t1", "l u t1"]
 
 
@@ -568,7 +572,7 @@ def test_quotient_rejects_relations_outside_space():
     e0 = [sparse([F(1), F(0)])]
     e1 = [sparse([F(0), F(1)])]
     with pytest.raises(CompositionError):
-        quotient_representatives(amb, e0, e1)
+        quotient_representatives(amb, Echelon(e0), e1)
 
 
 def test_kernel_without_monomials_reads_its_rows():

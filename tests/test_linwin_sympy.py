@@ -237,7 +237,7 @@ def test_intersect_with_coordinates_matches_sympy(rows, data):
 def test_quotient_representatives_reduce_any_spanning_relations(rows, data):
     n = len(rows[0])
     ambient = SliceBasis(Bidegree(0, 0), None, tuple(Monomial(lam=j) for j in range(n)))
-    space = rows_of(rows)
+    space = Echelon(rows_of(rows))
     # random combinations of the space rows, one of them repeated, and zero rows
     coeffs = data.draw(st.lists(
         st.lists(st_entry, min_size=len(rows), max_size=len(rows)), max_size=4))
@@ -285,7 +285,7 @@ def test_kernel_transversal_matches_its_spanned_basis(shape, data):
     relations = [sparse(v) for v in combos + combos[:1]] + [()] * data.draw(st.integers(0, 2))
     ambient = SliceBasis(Bidegree(0, 0), None, tuple(Monomial(lam=j) for j in range(n)))
     reps = quotient_representatives(ambient, kernel, relations)
-    assert reps == quotient_representatives(ambient, basis, relations)
+    assert reps == quotient_representatives(ambient, Echelon(basis), relations)
     assert kernel.rows() == rref(basis)[0]
     # against sympy: every representative lies in the kernel, and they are
     # independent modulo the relations and as many as the quotient's dimension

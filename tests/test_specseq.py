@@ -44,13 +44,14 @@ def _span_bound(fs):
     return fs.max_level() - fs.min_level() + 1
 
 
+def _toy(degrees, bases, levels, diffs):
+    """A hand-built slice: the given bases, levels and matrices by degree."""
+    return FilteredSlice(tuple(degrees), lambda n: (bases[n], levels[n]), diffs.get, "toy")
+
+
 def _slice(degrees, bases, levels, ops):
-    diffs = {}
-    for n, op in ops.items():
-        diffs[n] = operator_matrix(op, bases[n], bases[n + 1])
-    return FilteredSlice(degrees=tuple(degrees), bases=bases,
-                         levels={n: tuple(levels[n]) for n in degrees},
-                         diffs=diffs, label="toy")
+    return _toy(degrees, bases, levels,
+                {n: operator_matrix(op, bases[n], bases[n + 1]) for n, op in ops.items()})
 
 
 def test_zero_differential_collapses_at_zero():
@@ -59,7 +60,6 @@ def test_zero_differential_collapses_at_zero():
     b1 = _basis(Bidegree(1, 1), ["t1"])
     fs = _slice([0, 1], {0: b0, 1: b1}, {0: [0, 0], 1: [1]},
                 {0: lambda a: ZERO})
-    fs.validate()
     assert collapse_at(fs) == 0
     assert page(fs, 0, 0, 0).dim == 2
     assert page(fs, 0, 1, 0).dim == 1
@@ -73,7 +73,6 @@ def test_identity_differential_collapses_at_one():
     b1 = _basis(Bidegree(1, 1), ["u"], label="shifted copy")
     fs = _slice([0, 1], {0: b0, 1: b1}, {0: [0], 1: [0]},
                 {0: lambda a: a})
-    fs.validate()
     assert collapse_at(fs) == 1
     assert page(fs, 1, 0, 0).dim == 0
     assert page(fs, 1, 0, 1).dim == 0
@@ -88,7 +87,6 @@ def test_level_raising_differential_collapses_at_two():
     b1 = _basis(Bidegree(1, 1), ["t1"])
     fs = _slice([0, 1], {0: b0, 1: b1}, {0: [0], 1: [1]},
                 {0: D1})
-    fs.validate()
     assert page(fs, 1, 0, 0).dim == 1
     assert page(fs, 1, 1, 0).dim == 1
     src, dst, cols = page_dr_matrix(fs, 1, 0, 0)
@@ -102,10 +100,27 @@ def test_validate_rejects_broken_filtration():
     from kdvcohom.algebra import Bidegree
     b0 = _basis(Bidegree(0, 0), ["u"])
     b1 = _basis(Bidegree(1, 1), ["t1"])
+    fs = _slice([0, 1], {0: b0, 1: b1}, {0: [1], 1: [0]},
+                {0: lambda a: poly("t1") * a.coeff(mono(u0=1))})
     with pytest.raises(CompositionError,
                        match="level drops along the differential at degree 0"):
-        _slice([0, 1], {0: b0, 1: b1}, {0: [1], 1: [0]},
-               {0: lambda a: poly("t1") * a.coeff(mono(u0=1))})
+        fs.diff(0)
+
+
+def test_a_slice_rejects_bad_shapes():
+    from kdvcohom.algebra import Bidegree
+    from kdvcohom.kdvpencil import D1
+    b0 = _basis(Bidegree(0, 0), ["u"])
+    b1 = _basis(Bidegree(1, 1), ["t1"])
+    d = operator_matrix(D1, b0, b1)
+    with pytest.raises(CompositionError, match="degrees not consecutive in toy"):
+        _toy([0, 2], {0: b0, 2: b1}, {0: (0,), 2: (1,)}, {})
+    with pytest.raises(CompositionError, match="level count mismatch at degree 1"):
+        _toy([0, 1], {0: b0, 1: b1}, {0: (0,), 1: (1, 1)}, {}).levels(1)
+    other = _basis(Bidegree(1, 1), ["u1 t0"])
+    with pytest.raises(CompositionError, match="codomain mismatch at 0"):
+        _toy([0, 1], {0: b0, 1: other}, {0: (0,), 1: (1,)}, {0: d}).diff(0)
+    assert _toy([0, 1], {0: b0, 1: b1}, {0: (0,), 1: (1,)}, {0: d}).diff(0) is d
 
 
 def test_page_dr_matrix_makes_one_coordinate_elimination(monkeypatch):
@@ -166,7 +181,7 @@ def test_pencil_piece_k1_d1_matches_explicit_formula():
     # of representatives
     src_poly = src.rep_polys()[0]
     img = d1_explicit(src_poly, 2)
-    target = fs.bases[4].vector_of(img)
+    target = fs.basis(4).vector_of(img)
     # the image is a cocycle of the target page: it lies in Z_1 there
     coords = solve(z_rows(fs, dst.r, dst.p, dst.p + dst.q), target)
     assert coords is not None
@@ -213,11 +228,11 @@ def test_pages_keep_the_euler_characteristic(k, c):
 
 def _span_dim(fs, r, p, n):
     """dim E_r at (p, n - p) from the spans: Z_r modulo B_{r-1} + Z_{r-1}(p+1)."""
-    basis = fs.bases.get(n)
+    basis = fs.basis(n)
     if not basis:
         return 0
     rel, _ = rref(b_rows(fs, r - 1, p, n) + z_rows(fs, r - 1, p + 1, n))
-    return len(quotient_representatives(basis, z_rows(fs, r, p, n), rel))
+    return len(quotient_representatives(basis, linwin.Echelon(z_rows(fs, r, p, n)), rel))
 
 
 def _scan_dr_is_zero(fs, r):
@@ -231,6 +246,12 @@ def _scan_collapse_at(fs):
     bound = _span_bound(fs)
     flags = [_scan_dr_is_zero(fs, r) for r in range(bound + 1)]
     return next((r for r in range(bound + 1) if all(flags[r:])), bound + 1)
+
+
+def _levels_around(fs, n):
+    """Every level of degree n, and one empty level on either side."""
+    lv = fs.levels(n)
+    return range(min(lv) - 1, max(lv) + 2) if lv else ()
 
 
 UNTRUNCATED = [(k, c) for k in range(-1, 4) for c in range(6)]
@@ -247,13 +268,15 @@ def test_pairing_dims_match_the_spans_on_every_page(k, c):
 
 @pytest.mark.parametrize("k", range(-1, 5))
 def test_pairing_dims_match_the_spans_below_a_truncation(k):
+    # every page up to the total 6 that page counts take, on the larger
+    # pieces too, whose higher degrees stay unread
     for c in range(7):
-        fs = pencil_filtered_slice(k, c, d_cap=7)
+        fs = pencil_filtered_slice(k, c)
         for n in fs.degrees:
-            if fs.leaves_slice(n):
+            if n > 6:
                 continue
             for r in (1, 2, 3):
-                for p in range(fs.min_level(), fs.max_level() + 1):
+                for p in _levels_around(fs, n):
                     assert page(fs, r, p, n - p).dim == _span_dim(fs, r, p, n), \
                         (c, r, p, n)
 
@@ -264,10 +287,10 @@ def test_b_rows_is_the_filtered_image(k, c):
     # level >= p - r, kept where they vanish below level p
     fs = pencil_filtered_slice(k, c)
     for n in fs.degrees:
-        d = fs.diffs.get(n - 1)
+        d = fs.diff(n - 1)
         if d is None:
             continue
-        lv_dom, lv = fs.levels[n - 1], fs.levels[n]
+        lv_dom, lv = fs.levels(n - 1), fs.levels(n)
         for r in range(_span_bound(fs) + 2):
             for p in range(fs.min_level(), fs.max_level() + 1):
                 got = b_rows(fs, r, p, n)
@@ -285,88 +308,64 @@ def test_collapse_matches_the_differential_scan(k, c):
     assert collapse_at(fs) == _scan_collapse_at(fs)
 
 
-def test_every_reader_of_a_cut_top_raises():
-    fs = pencil_filtered_slice(2, 3, d_cap=5)
-    top = fs.degrees[-1]
-    assert fs.cut and top not in fs.diffs and fs.leaves_slice(top)
-    # every position of the top with F^p nonzero, empty pages included
-    for r in (1, 2, 3):
-        for p in sorted(set(fs.levels[top])):
-            with pytest.raises(ValueError, match="truncation boundary"):
-                page(fs, r, p, top - p)
-            with pytest.raises(ValueError, match="truncation boundary"):
-                z_rows(fs, r, p, top)
-    with pytest.raises(ValueError, match="truncation boundary"):
-        homology_at(fs, top)
-    assert homology_at(fs, top - 1) == homology_at(pencil_filtered_slice(2, 3), top - 1)
-    # the true top of an uncut slice maps into the empty piece, as always
-    whole = pencil_filtered_slice(2, 3)
-    assert not whole.cut and not len(whole.diffs[whole.degrees[-1]].codomain)
-    assert not any(whole.leaves_slice(n) for n in whole.degrees)
-
-
 def test_validate_rejects_a_differential_that_leaves_the_slice():
     from kdvcohom.algebra import Bidegree
     from kdvcohom.kdvpencil import D1
     b0 = _basis(Bidegree(0, 0), ["u"])
     b1 = _basis(Bidegree(1, 1), ["t1"])
     d = operator_matrix(D1, b0, b1)
-    with pytest.raises(CompositionError, match="leaves the slice at degree 0"):
-        FilteredSlice(degrees=(0,), bases={0: b0}, levels={0: (0,)}, diffs={0: d})
-    # a cut slice holds no differential out of its top either
-    with pytest.raises(CompositionError, match="leaves the slice at degree 1"):
-        FilteredSlice(degrees=(0, 1), bases={0: b0, 1: b1}, levels={0: (0,), 1: (1,)},
-                      diffs={0: d, 1: operator_matrix(D1, b1, b1)}, cut=True)
-    fs = FilteredSlice(degrees=(0, 1), bases={0: b0, 1: b1}, levels={0: (0,), 1: (1,)},
-                       diffs={0: d}, cut=True)
-    assert fs.leaves_slice(1) and not fs.leaves_slice(0)
-    assert page(fs, 1, 0, 0).dim == 1
+    fs = _toy([0], {0: b0}, {0: (0,)}, {0: d})
+    # every reader that reaches the differential raises, on every read
+    for read in (lambda: fs.diff(0), lambda: page(fs, 1, 0, 0),
+                 lambda: homology_at(fs, 0), lambda: collapse_at(fs)):
+        with pytest.raises(CompositionError, match="leaves the slice at degree 0"):
+            read()
+    # the same matrix into a degree of the slice is read
+    fs = _toy([0, 1], {0: b0, 1: b1}, {0: (0,), 1: (1,)}, {0: d})
+    assert fs.diff(0) is d and page(fs, 1, 0, 0).dim == 1
 
 
 @pytest.mark.parametrize("k", range(-1, 5))
 def test_pages_read_no_degree_past_the_next_one(k):
-    # E_r at total n reads degrees n - 1, n and n + 1 only, so a slice cut
-    # at n + 1 gives the very entries of the slice cut at 7
+    # E_r at total n reads degrees n - 1, n and n + 1 only: a fresh slice
+    # read at total n builds no differential out of a degree above n and
+    # gives the very entries of the slice read up to degree 7
     for c in range(7):
-        full = pencil_filtered_slice(k, c, d_cap=7)
+        full = pencil_filtered_slice(k, c)
+        for n in full.degrees:
+            if n < 7:
+                full.pairs(n)
         for n in full.degrees:
             if n > 5:
                 continue
-            near = pencil_filtered_slice(k, c, d_cap=n + 1)
-            for r in (1, 2, 3):
-                for p in range(full.min_level(), full.max_level() + 1):
-                    a, b = page(near, r, p, n - p), page(full, r, p, n - p)
-                    assert (a.dim, a.reps, a.relation_rows) == \
-                        (b.dim, b.reps, b.relation_rows), (c, r, p, n)
+            near = pencil_filtered_slice.__wrapped__(k, c)
+            got = [page(near, r, p, n - p) for r in (1, 2, 3)
+                   for p in _levels_around(full, n)]
+            for entry in got:
+                entry.relation_rows
+            assert max(near._diffs, default=n) <= n and max(near._read, default=n) <= n + 1, \
+                (c, n)
+            for a in got:
+                b = page(full, a.r, a.p, a.q)
+                assert (a.dim, a.reps, a.relation_rows) == \
+                    (b.dim, b.reps, b.relation_rows), (c, a.r, a.p, n)
 
 
-def test_truncation_boundary_pages_raise():
-    fs = pencil_filtered_slice(2, 3, d_cap=5)
-    top = fs.degrees[-1]
-    assert fs.leaves_slice(top)
-    with pytest.raises(ValueError, match="truncation boundary"):
-        page(fs, 1, fs.max_level(), top - fs.max_level())
-    for whole_slice in (collapse_at, converge_check):
-        with pytest.raises(ValueError, match="truncation boundary"):
-            whole_slice(fs)
-    # one degree down every page is still available
-    p = fs.max_level()
-    assert page(fs, 1, p, top - 1 - p).dim == _span_dim(fs, 1, p, top - 1)
+# -- the pairs against one global elimination --------------------------------------
 
 
-# -- the shared pairing against one global elimination ---------------------------
-
-
-def _global_pairing(fs):
-    """The pairing of fs from one elimination over every degree at once: the
-    vectors numbered by (level, degree, index), the columns put into one
-    Echelon from the highest number down, a column paired with the pivot it
-    adds; gaps by (degree, level), in basis order."""
-    order = sorted((lv, n, i) for n in fs.degrees for i, lv in enumerate(fs.levels[n]))
+def _global_pairing(fs, top):
+    """The pairing of the degrees of fs up to top from one elimination over
+    all of them at once, the differential out of top left out: the vectors
+    numbered by (level, degree, index), the columns put into one Echelon
+    from the highest number down, a column paired with the pivot it adds;
+    gaps by (degree, level), in basis order."""
+    degrees = [n for n in fs.degrees if n <= top]
+    order = sorted((lv, n, i) for n in degrees for i, lv in enumerate(fs.levels(n)))
     index = {(n, i): k for k, (_, n, i) in enumerate(order)}
     cols = []
     for _, n, i in reversed(order):
-        d = fs.diffs.get(n)
+        d = fs.diff(n) if n < top else None
         cols.append(() if d is None else
                     tuple(sorted((index[n + 1, j], x) for j, x in d.cols[i])))
     ech, partner = linwin.Echelon(), {}
@@ -381,21 +380,17 @@ def _global_pairing(fs):
     return {key: tuple(gaps) for key, gaps in pairs.items()}
 
 
-def _check_against_the_global_pairing(fs):
-    want = _global_pairing(fs)
-    assert dict(fs._pairing) == want
-    if fs.cut:
-        with pytest.raises(ValueError, match="truncation boundary"):
-            collapse_at(fs)
-    else:
-        assert collapse_at(fs) == 1 + max(
-            (g for gaps in want.values() for g in gaps if g is not None), default=-1)
+def _check_against_the_global_pairing(fs, top):
+    """The gaps and the page dims of every degree below top."""
+    want = _global_pairing(fs, top)
     for (n, p), gaps in want.items():
-        if fs.leaves_slice(n):
+        if n >= top:
             continue
+        assert fs.gaps(n, p) == gaps, (n, p)
         for r in (1, 2, 3):
             assert page(fs, r, p, n - p).dim == sum(g is None or g >= r for g in gaps), \
                 (r, p, n)
+    return want
 
 
 CUT_PIECES = [(k, c) for k in range(-1, 5) for c in range(7)]
@@ -404,19 +399,32 @@ CUT_PIECES = [(k, c) for k in range(-1, 5) for c in range(7)]
 @pytest.mark.parametrize("caps", [range(7, 0, -1), range(1, 8)],
                          ids=["highest-cap-first", "lowest-cap-first"])
 @pytest.mark.parametrize("k,c", CUT_PIECES)
-def test_every_cut_shares_the_pairs_of_one_global_elimination(k, c, caps, monkeypatch):
-    # fresh slices and an empty store, so each cut finds the work of the
-    # cuts built before it: from the highest cap down the first cut does it
-    # all, from the lowest up each cut adds the work of its new degree
-    monkeypatch.setattr(specseq, "_WORK", {})
+def test_every_cut_shares_the_pairs_of_one_global_elimination(k, c, caps):
+    # a fresh slice read up to each cap in turn, the pairs of every degree
+    # below it: from the highest cap down the first read builds them all,
+    # from the lowest up each read adds the differential of one degree
+    fs = pencil_filtered_slice.__wrapped__(k, c)
+    reached = -1
     for cap in caps:
-        _check_against_the_global_pairing(pencil_filtered_slice.__wrapped__(k, c, cap))
+        for n in fs.degrees:
+            if n < cap:
+                fs.pairs(n)
+        reached = max(reached, cap)
+        assert max(fs._diffs, default=-1) < reached, cap
+        _check_against_the_global_pairing(fs, cap)
 
 
 @pytest.mark.parametrize("k,c", [(k, c) for k in range(-1, 4) for c in range(6)])
-def test_whole_pieces_pair_as_one_global_elimination(k, c, monkeypatch):
-    monkeypatch.setattr(specseq, "_WORK", {})
-    _check_against_the_global_pairing(pencil_filtered_slice.__wrapped__(k, c))
+def test_whole_pieces_pair_as_one_global_elimination(k, c):
+    # the whole-slice readers first, on a fresh slice
+    fs = pencil_filtered_slice.__wrapped__(k, c)
+    collapse, limit = collapse_at(fs), converge_check(fs)
+    want = _check_against_the_global_pairing(fs, max(fs.degrees, default=0) + 1)
+    assert collapse == 1 + max(
+        (g for gaps in want.values() for g in gaps if g is not None), default=-1)
+    assert {n: total for n, (total, _, _) in limit.items()} == {
+        n: sum(g is None for (m, _), gaps in want.items() if m == n for g in gaps)
+        for n in fs.degrees}
 
 
 def _numbers(n):
@@ -427,72 +435,53 @@ def _numbers(n):
 
 def test_shared_pairs_follow_the_levels():
     # one matrix, d(a) = d(b) = x, in slices with other levels: the higher
-    # of a and b takes the pair, so each slice needs its own pairs, and a
-    # level that drops along d is caught whatever slice checked d before
+    # of a and b takes the pair, so each slice pairs it by its own levels,
+    # and a level that drops along d is caught whatever slice read d before
     from fractions import Fraction as F
     d = linwin.OperatorMatrix(_numbers(2), _numbers(1), (((0, F(1)),), ((0, F(1)),)))
 
     def two_degrees(lv0, lv1):
-        return FilteredSlice(degrees=(0, 1), bases={0: d.domain, 1: d.codomain},
-                             levels={0: lv0, 1: lv1}, diffs={0: d}, cut=True)
+        return _toy([0, 1], {0: d.domain, 1: d.codomain}, {0: lv0, 1: lv1}, {0: d})
+
+    def gaps(fs):
+        return {(n, p): fs.gaps(n, p) for n in fs.degrees for p in set(fs.levels(n))}
 
     first = two_degrees((0, 1), (1,))
-    assert dict(first._pairing) == {(0, 0): (None,), (0, 1): (0,), (1, 1): (0,)}
+    assert gaps(first) == _global_pairing(first, 2) == \
+        {(0, 0): (None,), (0, 1): (0,), (1, 1): (0,)}
     second = two_degrees((1, 0), (2,))
-    assert dict(second._pairing) == _global_pairing(second) == \
+    assert gaps(second) == _global_pairing(second, 2) == \
         {(0, 0): (None,), (0, 1): (1,), (1, 2): (1,)}
     assert page(second, 2, 0, 0).dim == 1 and page(second, 1, 1, -1).dim == 1
     with pytest.raises(CompositionError, match="level drops along the differential"):
-        two_degrees((1, 1), (0,))
-
-
-def test_work_leaves_the_store_with_its_matrix():
-    # the store keys each differential's work by the matrix itself, weakly:
-    # once a hand-built matrix is collected its work is gone, and a new
-    # matrix with the same columns runs its own level check
-    import gc
-    import weakref
-    from fractions import Fraction as F
-    cols = (((1, F(1)),),)
-
-    def two_degrees(lv_cod):
-        d = linwin.OperatorMatrix(_numbers(1), _numbers(2), cols)
-        FilteredSlice(degrees=(0, 1), bases={0: d.domain, 1: d.codomain},
-                      levels={0: (1,), 1: lv_cod}, diffs={0: d}, cut=True)
-        return d
-
-    d = two_degrees((0, 1))
-    assert d in specseq._WORK
-    gone = weakref.ref(d)
-    del d
-    gc.collect()
-    assert gone() is None
-    with pytest.raises(CompositionError, match="level drops along the differential"):
-        two_degrees((1, 0))
+        two_degrees((1, 1), (0,)).pairs(0)
 
 
 def test_a_checked_square_holds_only_for_its_next_matrix():
-    # d2 d = 0 for one d2 says nothing of another d2 after the same d
+    # d2 d = 0 for one d2 says nothing of another d2 after the same d; the
+    # composite is checked when d2 is first read, and again on every read
     from fractions import Fraction as F
     d = linwin.OperatorMatrix(_numbers(1), _numbers(2), (((0, F(1, 2)), (1, F(1, 3))),))
 
     def after(second_column):
         d2 = linwin.OperatorMatrix(_numbers(2), _numbers(2),
                                    (((0, F(1)), (1, F(1, 3))), second_column))
-        return FilteredSlice(degrees=(0, 1, 2),
-                             bases={0: d.domain, 1: d.codomain, 2: d2.codomain},
-                             levels={0: (0,), 1: (0, 0), 2: (0, 0)},
-                             diffs={0: d, 1: d2}, cut=True)
+        return FilteredSlice((0, 1, 2), lambda n: ((d.domain, d.codomain, d2.codomain)[n],
+                                                   ((0,), (0, 0), (0, 0))[n]),
+                             {0: d, 1: d2}.get)
 
-    after(((0, F(-3, 2)), (1, F(-1, 2)))).validate()
-    with pytest.raises(CompositionError, match="does not square to zero at degree 0"):
-        after(((0, F(-3, 2)),))
+    assert collapse_at(after(((0, F(-3, 2)), (1, F(-1, 2))))) == 1
+    fs = after(((0, F(-3, 2)),))
+    assert page(fs, 1, 0, 0).dim == 0
+    for read in (lambda: fs.diff(1), lambda: page(fs, 1, 0, 1)):
+        with pytest.raises(CompositionError, match="does not square to zero at degree 0"):
+            read()
 
 
 def test_a_pages_pass_pairs_and_squares_each_differential_once(monkeypatch):
-    # the bench pages pass, window 2:1 up to total 4, on fresh slices and an
-    # empty store: each distinct differential the slices hold is eliminated
-    # once, and each distinct consecutive pair of them composed once
+    # the bench pages pass, window 2:1 up to total 4, on fresh slices: each
+    # differential a slice builds is eliminated once and composed once with
+    # the one below it, and none out of a degree above 4 is built
     from collections import Counter
     from functools import lru_cache
     from kdvcohom import acceptance
@@ -500,25 +489,24 @@ def test_a_pages_pass_pairs_and_squares_each_differential_once(monkeypatch):
     built = []
 
     @lru_cache(maxsize=None)
-    def fresh_slice(k, c, d_cap=None):
-        fs = pencil_filtered_slice.__wrapped__(k, c, d_cap)
+    def fresh_slice(k, c):
+        fs = pencil_filtered_slice.__wrapped__(k, c)
         built.append(fs)
         return fs
 
     monkeypatch.setattr(acceptance, "pencil_filtered_slice", fresh_slice)
-    monkeypatch.setattr(specseq, "_WORK", {})
     eliminated, composed = Counter(), Counter()
-    pairs, apply_all = specseq._DegreeWork.pairs, linwin.OperatorMatrix.apply_all
+    pairs, apply_all = FilteredSlice.pairs, linwin.OperatorMatrix.apply_all
 
-    def counting_pairs(self, d, below):
-        eliminated[id(d)] += self._pairs is None
-        return pairs(self, d, below)
+    def counting_pairs(self, n):
+        eliminated[id(self), n] += n not in self._pairs and self.diff(n) is not None
+        return pairs(self, n)
 
     def counting_apply_all(self, vecs):
         composed[id(self), id(vecs)] += 1
         return apply_all(self, vecs)
 
-    monkeypatch.setattr(specseq._DegreeWork, "pairs", counting_pairs)
+    monkeypatch.setattr(FilteredSlice, "pairs", counting_pairs)
     monkeypatch.setattr(linwin.OperatorMatrix, "apply_all", counting_apply_all)
     w = Window(2, 1)
     for r in (1, 2, 3):
@@ -526,11 +514,10 @@ def test_a_pages_pass_pairs_and_squares_each_differential_once(monkeypatch):
             for p in range(n + 1):
                 acceptance.windowed_page_count(r, p, n - p, w)
     for fs in built:
-        fs._pairing
-    diffs = {id(d): d for fs in built for d in fs.diffs.values()}
-    steps = {(id(fs.diffs[n + 1]), id(d.cols)) for fs in built
-             for n, d in fs.diffs.items() if n + 1 in fs.diffs}
-    assert eliminated == Counter(diffs.keys())
-    assert composed == Counter(steps)
-    # the cuts of a piece share its differentials
-    assert len(diffs) < sum(len(fs.diffs) for fs in built)
+        for n in list(fs._diffs):
+            fs.pairs(n)
+    diffs = [(fs, n, d) for fs in built for n, d in fs._diffs.items() if d is not None]
+    assert diffs and max(n for _, n, _ in diffs) <= 4
+    assert +eliminated == Counter((id(fs), n) for fs, n, _ in diffs)
+    assert composed == Counter((id(d), id(fs._diffs[n - 1].cols)) for fs, n, d in diffs
+                               if fs._diffs.get(n - 1) is not None)
