@@ -291,9 +291,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     # refuse an unwritable --out before any matrix is built; the report is
     # still written only once it is complete
-    if args.out and (os.path.isdir(args.out) or not os.access(
-            os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
-        parser.error(f"--out {args.out} is a directory or lies in no writable directory")
+    if args.out:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not (os.path.isdir(folder)
+                                           and os.access(folder, os.W_OK)):
+            parser.error(f"--out {args.out} is a directory or lies in no writable directory")
     if args.command == "verify":
         payload, ok, text = _cmd_verify(args, parser)
     elif args.command == "pages":

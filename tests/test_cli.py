@@ -153,12 +153,14 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
         raise AssertionError("the battery ran before --out was checked")
 
     monkeypatch.setattr(cli, "run_acceptance", no_run)
-    for out in (tmp_path / "missing" / "report.txt", tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for out in (tmp_path / "missing" / "report.txt", tmp_path, plain / "report.txt"):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(out), "acceptance"])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [plain] and plain.read_text() == ""
 
 
 @pytest.mark.parametrize("argv", [
