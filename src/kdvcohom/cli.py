@@ -44,8 +44,8 @@ _SCHEMA = 1
 # this.  The largest size that the defaults, the acceptance battery, the
 # demos and the benchmark reach is 31583 (the battery's pages, to total 6
 # over the default ladder; page_spots counts every piece the slices read,
-# an upper bound on the 30826 monomials built); bh --kind bh_F near the
-# budget runs for minutes.
+# an upper bound on the monomials built); bh --kind bh_F near the budget
+# runs for minutes.
 _COST_BUDGET = 100_000
 
 

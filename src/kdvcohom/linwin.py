@@ -34,7 +34,6 @@ floating point, no probabilistic shortcuts.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -106,9 +105,6 @@ class SliceBasis:
             where = f"(p={p}, d={d}) {tag}".strip()
             raise WindowOverflowError(
                 f"monomial {m.format() or '1'} not in slice {where}") from None
-
-    def contains(self, m: Monomial) -> bool:
-        return m in self._index
 
     def vector_of(self, a: DiffPoly) -> Row:
         """The Row of a polynomial; a monomial outside the slice raises."""
@@ -391,11 +387,7 @@ def rank_of(rows: Sequence[Row]) -> int:
 
 def reduce_against(rref_rows, pivots, vec: Row) -> Row:
     """Subtract the span of an rref basis from vec; result has no pivots."""
-    # only the basis rows whose pivots vec touches take part; rows already
-    # in reduced form go into an Echelon without any arithmetic
-    touched = {j for j, _ in vec}
-    return Echelon(row for row, pc in zip(rref_rows, pivots)
-                   if pc in touched).reduce(vec)
+    return Echelon(rref_rows).reduce(vec)
 
 
 def in_span(rref_rows, pivots, vec: Row) -> bool:
@@ -471,11 +463,8 @@ class Kernel:
     """The kernel of the map with the columns cols, one per ambient
     coordinate, read as an Echelon is: contains is one integer product with
     the columns over a common denominator (e_j lies in it when column j is
-    empty), len reads the rank of the columns, built on first use, and
-    rows() is built if read.  A column that is a single entry in a row no
-    other column touches adds one to the rank without an elimination (it
-    is independent of the rest, which share none of its rows); the others
-    go into one Echelon (cheaper than a stacked map's rows)."""
+    empty), len reads the rank of one Echelon of the columns (cheaper than
+    a stacked map's rows), built on first use, and rows() is built if read."""
 
     def __init__(self, cols: Sequence[Row]):
         self._cols = tuple(cols)
@@ -483,11 +472,7 @@ class Kernel:
 
     def __len__(self) -> int:
         if self._rank is None:
-            rest = self._cols
-            if any(len(col) == 1 for col in rest):
-                uses = Counter(i for col in rest for i, _ in col)
-                rest = [col for col in rest if len(col) != 1 or uses[col[0][0]] != 1]
-            self._rank = len(self._cols) - len(rest) + len(Echelon(rest))
+            self._rank = len(Echelon(self._cols))
         return len(self._cols) - self._rank
 
     def contains(self, row: Row) -> bool:
@@ -670,17 +655,6 @@ class StabilizationReport:
     intercept: Fraction
     points_used: int
     detail: str = ""
-
-    def matches(self, kind: str, slope: int = 0) -> bool:
-        if self.kind != kind:
-            return False
-        if kind == "linear-N":
-            return self.slope_n == slope
-        if kind == "linear-L":
-            return self.slope_l == slope
-        if kind == "constant":
-            return self.intercept == slope
-        return True
 
 
 def _fit_affine(points, use_n: bool, use_l: bool):

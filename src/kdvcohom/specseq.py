@@ -291,6 +291,8 @@ def page(fs: FilteredSlice, r: int, p: int, q: int) -> PageEntry:
     The dimension is read off the gaps; the representatives are chosen
     from the spans, which must yield exactly that many.
     """
+    if r < 0:
+        raise ValueError(f"no page E_{r}: pages start at r = 0")
     n = p + q
     basis = fs.basis(n)
     if basis is None or not basis.monomials:

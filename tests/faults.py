@@ -142,10 +142,10 @@ FAULTS = (
           'object.__setattr__(self, "_memo", OperatorSpec.__init__.__dict__.setdefault("memo", {}))',
           ("tests/test_algebra.py::test_memoized_operators_match_fraction_reference",
            "tests/test_algebra.py::test_each_operator_keeps_its_own_memo")),
-    # a single entry skips the elimination only in a row no other column touches
-    Fault("kernel-single-entry-in-a-shared-row", "linwin.py",
-          "if len(col) != 1 or uses[col[0][0]] != 1]", "if len(col) != 1]",
-          ("tests/test_linwin_sympy.py::test_kernel_len_matches_the_plain_rank",)),
+    # the gaps of every level are >= -1, so a negative r reads E_0 unasked
+    Fault("negative-page-index-accepted", "specseq.py",
+          'raise ValueError(f"no page E_{r}: pages start at r = 0")', "pass",
+          ("tests/test_specseq.py::test_page_refuses_a_negative_index_before_reading_a_degree",)),
 )
 
 

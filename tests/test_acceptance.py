@@ -132,3 +132,31 @@ def test_page_counts_refuse_positions_past_the_truncation():
         windowed_page_count(1, 3, 4, w)
     with pytest.raises(ValueError):
         windowed_page_counts(2, 0, 7, [w, Window(3, 2)])
+
+
+def test_page_counts_at_a_negative_total_are_zero():
+    ladder = (Window(2, 1), Window(3, 2))
+    assert windowed_page_count(1, 0, -3, Window(2, 1)) == 0
+    assert windowed_page_count(1, 1, -1, Window(2, 1)) == 0
+    assert windowed_page_counts(2, 3, -5, ladder) == [0, 0]
+
+
+def test_page_counts_refuse_a_negative_index(monkeypatch):
+    def unbuilt(k, c):
+        raise AssertionError(f"piece ({k}, {c}) was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(acceptance, "pencil_filtered_slice", unbuilt)
+        with pytest.raises(ValueError, match="no page E_-1"):
+            windowed_page_count(-1, 1, 2, Window(2, 1))
+        with pytest.raises(ValueError):
+            windowed_page_counts(-2, 0, -1, [Window(2, 1)])
+    # r = 0 still counts the associated graded, as it did before negative
+    # r was refused (these are the counts read then)
+    ladder = (Window(2, 1), Window(3, 2))
+    got = {(p, n - p): windowed_page_counts(0, p, n - p, ladder)
+           for n in range(4) for p in range(n + 1)}
+    assert got == {(0, 0): [12, 24], (0, 1): [24, 48], (1, 0): [0, 0],
+                   (0, 2): [24, 48], (1, 1): [24, 48], (2, 0): [0, 0],
+                   (0, 3): [24, 48], (1, 2): [48, 96], (2, 1): [24, 48],
+                   (3, 0): [0, 0]}

@@ -133,11 +133,14 @@ def test_dims_table_support():
 
 
 def test_stabilized_kinds():
-    assert stabilized("dlambda_A", 0, 0).matches("linear-L", 1)
-    assert stabilized("dlambda_A", 3, 3).matches("linear-N", 1)
-    assert stabilized("dlambda_A", 2, 1).matches("constant", 0)
-    assert stabilized("bh_F", 1, 1).matches("linear-N", 1)
-    assert stabilized("bh_A", 0, 0).matches("constant", 1)
+    for kind, p, d, model, field, value in (
+            ("dlambda_A", 0, 0, "linear-L", "slope_l", 1),
+            ("dlambda_A", 3, 3, "linear-N", "slope_n", 1),
+            ("dlambda_A", 2, 1, "constant", "intercept", 0),
+            ("bh_F", 1, 1, "linear-N", "slope_n", 1),
+            ("bh_A", 0, 0, "constant", "intercept", 1)):
+        rep = stabilized(kind, p, d)
+        assert (rep.kind, getattr(rep, field)) == (model, value), (kind, p, d, rep)
 
 
 # strictly increasing ladders longer than the default one: each step raises
@@ -163,12 +166,12 @@ def _ladder(n, l, steps):
 @given(st_long_ladder)
 def test_stabilized_closed_forms_on_longer_ladders(ladder):
     assert len(ladder) > len(DEFAULT_LADDER)
-    for kind, p, d, model, slope in (("dlambda_A", 0, 0, "linear-L", 1),
-                                     ("dlambda_A", 3, 3, "linear-N", 1),
-                                     ("bh_F", 1, 1, "linear-N", 1),
-                                     ("bh_A", 0, 0, "constant", 1)):
+    for kind, p, d, model, field in (("dlambda_A", 0, 0, "linear-L", "slope_l"),
+                                     ("dlambda_A", 3, 3, "linear-N", "slope_n"),
+                                     ("bh_F", 1, 1, "linear-N", "slope_n"),
+                                     ("bh_A", 0, 0, "constant", "intercept")):
         rep = stabilized(kind, p, d, ladder)
-        assert rep.matches(model, slope), (kind, p, d, rep)
+        assert (rep.kind, getattr(rep, field)) == (model, 1), (kind, p, d, rep)
         assert rep.intercept == 1 and rep.points_used == len(ladder)
 
 

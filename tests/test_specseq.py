@@ -521,3 +521,17 @@ def test_a_pages_pass_pairs_and_squares_each_differential_once(monkeypatch):
     assert +eliminated == Counter((id(fs), n) for fs, n, _ in diffs)
     assert composed == Counter((id(d), id(fs._diffs[n - 1].cols)) for fs, n, d in diffs
                                if fs._diffs.get(n - 1) is not None)
+
+
+def test_page_refuses_a_negative_index_before_reading_a_degree():
+    def unread(n):
+        raise AssertionError(f"degree {n} was read")
+
+    with pytest.raises(ValueError, match="no page E_-1"):
+        page(FilteredSlice((0, 1), unread, unread, "unread"), -1, 0, 0)
+    # r = 0 still reads the associated graded, which r = -1 used to return
+    # unasked; 7 and 1 are the dims read before negative r was refused
+    fs = pencil_filtered_slice(1, 2)
+    with pytest.raises(ValueError):
+        page(fs, -1, 1, 2)
+    assert (page(fs, 0, 1, 2).dim, page(fs, 1, 1, 2).dim) == (7, 1)
