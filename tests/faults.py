@@ -142,7 +142,7 @@ FAULTS = (
           'object.__setattr__(self, "_memo", OperatorSpec.__init__.__dict__.setdefault("memo", {}))',
           ("tests/test_algebra.py::test_memoized_operators_match_fraction_reference",
            "tests/test_algebra.py::test_each_operator_keeps_its_own_memo")),
-    # the gaps of every level are >= -1, so a negative r reads E_0 unasked
+    # every gap is >= 0, so without the check a negative r reads E_0
     Fault("negative-page-index-accepted", "specseq.py",
           'raise ValueError(f"no page E_{r}: pages start at r = 0")', "pass",
           ("tests/test_specseq.py::test_page_refuses_a_negative_index_before_reading_a_degree",)),

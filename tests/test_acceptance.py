@@ -151,8 +151,7 @@ def test_page_counts_refuse_a_negative_index(monkeypatch):
             windowed_page_count(-1, 1, 2, Window(2, 1))
         with pytest.raises(ValueError):
             windowed_page_counts(-2, 0, -1, [Window(2, 1)])
-    # r = 0 still counts the associated graded, as it did before negative
-    # r was refused (these are the counts read then)
+    # r = 0 still counts the associated graded
     ladder = (Window(2, 1), Window(3, 2))
     got = {(p, n - p): windowed_page_counts(0, p, n - p, ladder)
            for n in range(4) for p in range(n + 1)}

@@ -345,8 +345,7 @@ def test_echelon_between_inserts_matches_sympy(n, data):
 @given(st.tuples(st.integers(0, 3), st.integers(1, 5)), st.data())
 def test_kernel_len_matches_the_plain_rank(shape, data):
     # the columns of specseq.z_cols: a band of a map, and unit entries that
-    # pin coordinates; a pinned row may be shared or lie inside the band,
-    # and every column goes into the one elimination
+    # pin coordinates; a pinned row may be shared or lie inside the band
     m, n = shape
     matrix = data.draw(st.lists(st.lists(st_map_entry, min_size=n, max_size=n),
                                 min_size=m, max_size=m))

@@ -529,8 +529,7 @@ def test_page_refuses_a_negative_index_before_reading_a_degree():
 
     with pytest.raises(ValueError, match="no page E_-1"):
         page(FilteredSlice((0, 1), unread, unread, "unread"), -1, 0, 0)
-    # r = 0 still reads the associated graded, which r = -1 used to return
-    # unasked; 7 and 1 are the dims read before negative r was refused
+    # r = 0 still reads the associated graded
     fs = pencil_filtered_slice(1, 2)
     with pytest.raises(ValueError):
         page(fs, -1, 1, 2)
