@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Bidegree, DiffPoly, dtot, lam_var, mono, poly
 from .cohomeng import (
@@ -84,21 +84,21 @@ VERIFY_SUITES = (
 def _battery(max_d: int, n_cap: int, l_cap: int) -> Tuple[DiffPoly, ...]:
     """All window monomials up to the degree bound, as one-term polynomials."""
     out = []
-    for d in range(max_d + 1):
-        for p in range(p_bound(d) + 1):
-            for c in range(n_cap + l_cap + d + 1):
-                basis = enumerate_piece_basis(Bidegree(p, d), c, True)
-                for m in basis.monomials:
-                    if m.in_window(n_cap, l_cap):
-                        out.append(DiffPoly.monomial(m, F1))
+    for bd in spots_up_to(max_d):
+        for c in range(n_cap + l_cap + bd.d + 1):
+            for m in enumerate_piece_basis(bd, c, True).monomials:
+                if m.in_window(n_cap, l_cap):
+                    out.append(DiffPoly.monomial(m, F1))
     return tuple(out)
 
 
-def _first_failure(battery, op) -> Optional[str]:
-    for x in battery:
-        if op(x).terms:
-            m = next(iter(x.terms))
-            return m.format() or "1"
+def _first_failure(battery, ops) -> Optional[str]:
+    """The first battery monomial whose image under one of ops, taken in
+    turn, is not zero."""
+    for op in ops:
+        for x in battery:
+            if op(x).terms:
+                return next(iter(x.terms)).format() or "1"
     return None
 
 
@@ -140,14 +140,16 @@ def run_verify_suite(name: str, max_d: int = 6, window: Window = Window(3, 2),
 
     culprit: Optional[str] = None
     scope = f"{len(battery)} monomials, degrees <= {max_d}, window ({window.N},{window.L})"
-    if name == "d1_squared":
-        culprit = _first_failure(battery, lambda x: D1(D1(x)))
-    elif name == "d2_squared":
-        culprit = _first_failure(battery, lambda x: d2(d2(x)))
-    elif name == "d1d2_anticommute":
-        culprit = _first_failure(battery, lambda x: D1(d2(x)) + d2(D1(x)))
-    elif name == "dlambda_squared":
-        culprit = _first_failure(battery, lambda x: pencil(pencil(x)))
+    # the identities of the battery: maps that must send every monomial to zero
+    vanishing = {
+        "d1_squared": (lambda x: D1(D1(x)),),
+        "d2_squared": (lambda x: d2(d2(x)),),
+        "d1d2_anticommute": (lambda x: D1(d2(x)) + d2(D1(x)),),
+        "dlambda_squared": (lambda x: pencil(pencil(x)),),
+        "variational_descent": (lambda x: delta_u(dtot(x)), lambda x: delta_theta(dtot(x))),
+    }
+    if name in vanishing:
+        culprit = _first_failure(battery, vanishing[name])
     elif name == "schouten_relations":
         scope = "brackets of the two structure densities"
         for a, b, tag in ((P1_DENSITY, P1_DENSITY, "[P1,P1]"),
@@ -157,10 +159,6 @@ def run_verify_suite(name: str, max_d: int = 6, window: Window = Window(3, 2),
             if not schouten(a, b).is_zero():
                 culprit = tag
                 break
-    elif name == "variational_descent":
-        culprit = _first_failure(battery, lambda x: delta_u(dtot(x)))
-        if culprit is None:
-            culprit = _first_failure(battery, lambda x: delta_theta(dtot(x)))
     elif name == "homotopy_identity":
         checked = 0
         for _, _, m, ok in _homotopy_identity(window):
@@ -191,16 +189,17 @@ def windowed_page_counts(r: int, p: int, q: int, windows: Sequence[Window]) -> L
     all pieces meeting it; every piece's entry is built once for all windows.
 
     A page at total n builds each piece only up to degree n + 1.  A
-    negative total counts 0; a negative r, or a position past the total
-    _MAX_TOTAL, raises ValueError before any piece is built."""
+    negative total counts 0, and no windows build nothing; a negative r, or
+    a position past the total _MAX_TOTAL, raises ValueError before any
+    piece is built."""
     if r < 0:
         raise ValueError(f"no page E_{r}: pages start at r = 0")
     n = p + q
-    if n < 0:
-        return [0] * len(windows)
     if n > _MAX_TOTAL:
         raise ValueError(f"page position ({p},{q}) lies past the total "
                          f"{_MAX_TOTAL} that page counts take")
+    if n < 0 or not windows:
+        return [0] * len(windows)
     tops = [w.N + w.L + n for w in windows]
     got = [0] * len(windows)
     for k in range(n - p_bound(n), n + 1):
@@ -257,38 +256,31 @@ def check_first_structure_cohomology() -> Tuple[bool, str]:
             want = 1 if bd in (Bidegree(0, 0), Bidegree(1, 0)) else 0
             if dim != want:
                 bad.append((n_cap, tuple(bd), dim, want))
-    detail = "windowed tables to degree 5 for u-power caps 2, 3, 4"
-    if bad:
-        detail += f"; mismatches {bad[:4]}"
-    return not bad, detail
+    return _verdict(bad, "windowed tables to degree 5 for u-power caps 2, 3, 4")
 
 
-def _ladder_page_counts(r: int) -> Dict[Tuple[int, int], List[int]]:
-    """Page-r counts at every position of total degree <= _MAX_TOTAL, one
-    per window of the default ladder."""
-    return {(p, n - p): windowed_page_counts(r, p, n - p, DEFAULT_LADDER)
-            for n in range(_MAX_TOTAL + 1) for p in range(n + 1)}
+def _page_mismatches(r: int, model: Callable[[Window, int, int], int],
+                     *tag) -> Tuple[list, int]:
+    """Departures of the page-r counts from model(w, p, q), over every
+    window w of the default ladder and every position (p, q) of total
+    <= _MAX_TOTAL, as (*tag, (N, L), p, q, got, expected); and the number
+    of window/position pairs compared."""
+    counts = {(p, n - p): windowed_page_counts(r, p, n - p, DEFAULT_LADDER)
+              for n in range(_MAX_TOTAL + 1) for p in range(n + 1)}
+    bad = []
+    for i, w in enumerate(DEFAULT_LADDER):
+        for (p, q), got in counts.items():
+            want = model(w, p, q)
+            if got[i] != want:
+                bad.append((*tag, (w.N, w.L), p, q, got[i], want))
+    return bad, len(DEFAULT_LADDER) * len(counts)
 
 
 def check_page_one_dimensions() -> Tuple[bool, str]:
     """The engine's first page matches the cofactor model on every ladder window."""
-    bad = []
-    positions = 0
-    counts = _ladder_page_counts(1)
-    for i, w in enumerate(DEFAULT_LADDER):
-        for n in range(_MAX_TOTAL + 1):
-            for p in range(n + 1):
-                q = n - p
-                want = len(e1_basis(p, q, w))
-                got = counts[p, q][i]
-                positions += 1
-                if got != want:
-                    bad.append(((w.N, w.L), p, q, got, want))
-    detail = (f"{positions} window/position pairs, totals <= {_MAX_TOTAL}, "
-              f"{len(DEFAULT_LADDER)} windows")
-    if bad:
-        detail += f"; mismatches {bad[:4]}"
-    return not bad, detail
+    bad, positions = _page_mismatches(1, lambda w, p, q: len(e1_basis(p, q, w)))
+    return _verdict(bad, f"{positions} window/position pairs, totals <= {_MAX_TOTAL}, "
+                         f"{len(DEFAULT_LADDER)} windows")
 
 
 def check_page_one_differential() -> Tuple[bool, str]:
@@ -314,13 +306,9 @@ def check_page_one_differential() -> Tuple[bool, str]:
                             nnz += 1
                         if want is None or list(want) != got:
                             bad.append((k, c, p, q, j))
-    passed = not bad and nnz > 0
-    detail = f"{ncols} page-one columns compared, {nnz} nonzero"
-    if bad:
-        detail += f"; mismatches {bad[:4]}"
-    if nnz == 0:
-        detail += "; no nonzero column was exercised"
-    return passed, detail
+    passed, detail = _verdict(bad, f"{ncols} page-one columns compared, {nnz} nonzero",
+                              nnz > 0)
+    return passed, detail + ("" if nnz else "; no nonzero column was exercised")
 
 
 def check_contracting_homotopy() -> Tuple[bool, str]:
@@ -341,33 +329,17 @@ def check_contracting_homotopy() -> Tuple[bool, str]:
         weighted = False
     except HomotopySingularityError:
         weighted = True
-    passed = not bad and checked > 0 and positional and weighted
-    detail = (f"identity on {checked} basis elements; singular position "
-              + ("refused" if positional else "NOT refused")
-              + "; vanishing weight "
-              + ("refused" if weighted else "NOT refused"))
-    if bad:
-        detail += f"; failures {bad[:4]}"
-    return passed, detail
+    return _verdict(bad, f"identity on {checked} basis elements; singular position "
+                         + ("refused" if positional else "NOT refused")
+                         + "; vanishing weight "
+                         + ("refused" if weighted else "NOT refused"),
+                    checked > 0 and positional and weighted, word="failures")
 
 
 def check_page_two_collapse() -> Tuple[bool, str]:
     """Page two carries only the two surviving families and equals the limit."""
-    bad = []
-    counts = _ladder_page_counts(2)
-    for i, w in enumerate(DEFAULT_LADDER):
-        for n in range(_MAX_TOTAL + 1):
-            for p in range(n + 1):
-                q = n - p
-                if (p, q) == (0, 0):
-                    want = w.L + 1
-                elif (p, q) == (1, 2):
-                    want = w.N + 1
-                else:
-                    want = 0
-                got = counts[p, q][i]
-                if got != want:
-                    bad.append(("window", (w.N, w.L), p, q, got, want))
+    bad = _page_mismatches(
+        2, lambda w, p, q: {(0, 0): w.L + 1, (1, 2): w.N + 1}.get((p, q), 0), "window")[0]
     pieces = 0
     for k in range(-1, 4):
         for c in range(6):
@@ -385,14 +357,11 @@ def check_page_two_collapse() -> Tuple[bool, str]:
         _, _, cols = page_dr_matrix(fs, 1, 1, 2)
         if any(any(col) for col in cols):
             nonzero_d1 = True
-    passed = not bad and nonzero_d1
-    detail = (f"page-two profile over {len(DEFAULT_LADDER)} windows; "
-              f"page two equals homology at {pieces} piece degrees; "
-              + ("a nonzero page-one differential exists"
-                 if nonzero_d1 else "page one never moved (collapse too early)"))
-    if bad:
-        detail += f"; mismatches {bad[:4]}"
-    return passed, detail
+    return _verdict(bad, f"page-two profile over {len(DEFAULT_LADDER)} windows; "
+                         f"page two equals homology at {pieces} piece degrees; "
+                         + ("a nonzero page-one differential exists"
+                            if nonzero_d1 else "page one never moved (collapse too early)"),
+                    nonzero_d1)
 
 
 # closed forms of the windowed tables to degree 5: each listed spot has
@@ -425,6 +394,13 @@ def _table_mismatches(kinds: Sequence[str]) -> list:
     return bad
 
 
+def _verdict(bad: list, detail: str, holds: bool = True, shown: int = 4,
+             word: str = "mismatches") -> Tuple[bool, str]:
+    """A criterion's (passed, detail): it passes when bad is empty and holds
+    is true, and its detail then names the first shown entries of bad."""
+    return not bad and holds, detail + (f"; {word} {bad[:shown]}" if bad else "")
+
+
 def check_pencil_cohomology_tables() -> Tuple[bool, str]:
     """Full pencil cohomology: parameter polynomials at (0,0), one smooth
     family at (3,3) in the space table; (0,0), (2,3), (3,3) in the
@@ -438,11 +414,8 @@ def check_pencil_cohomology_tables() -> Tuple[bool, str]:
                 audited += 1
                 if not ok:
                     bad.append(("converge", k, c, n, total, h))
-    detail = (f"both tables to degree 5 on {len(DEFAULT_LADDER)} windows; "
-              f"limit page equals homology at {audited} piece degrees")
-    if bad:
-        detail += f"; mismatches {bad[:3]}"
-    return not bad, detail
+    return _verdict(bad, f"both tables to degree 5 on {len(DEFAULT_LADDER)} windows; "
+                         f"limit page equals homology at {audited} piece degrees", shown=3)
 
 
 def check_joint_kernel_tables() -> Tuple[bool, str]:
@@ -456,11 +429,9 @@ def check_joint_kernel_tables() -> Tuple[bool, str]:
         reps += 1
         if ph.dim != 1 or coords != [F1]:
             bad.append(("rep", c, ph.dim, coords))
-    detail = (f"both tables to degree 5 on {len(DEFAULT_LADDER)} windows; "
-              f"{reps} explicit first-jet densities generate the (1,1) classes")
-    if bad:
-        detail += f"; mismatches {bad[:3]}"
-    return not bad, detail
+    return _verdict(bad, f"both tables to degree 5 on {len(DEFAULT_LADDER)} windows; "
+                         f"{reps} explicit first-jet densities generate the (1,1) classes",
+                    shown=3)
 
 
 def check_theory_comparison() -> Tuple[bool, str]:
@@ -479,22 +450,18 @@ def check_theory_comparison() -> Tuple[bool, str]:
     agreements = 0
     for w in (Window(3, 2), Window(5, 4)):
         for presentation in ("A", "F"):
-            for d in range(6):
-                for p in range(p_bound(d) + 1):
-                    if Bidegree(p, d) in EXCEPTIONAL_BIDEGREES:
-                        continue
-                    r = compare_bh_vs_lambda(p, d, w, presentation)
-                    agreements += 1
-                    if not r.equal:
-                        bad.append(((w.N, w.L), presentation, p, d,
-                                    r.bh_dim, r.lambda_dim))
-    passed = not bad and refused == len(EXCEPTIONAL_BIDEGREES)
-    detail = (f"{agreements} non-exceptional comparisons agree in both "
-              f"presentations; {refused} exceptional spots refused; forced "
-              f"comparison at (2,1) gives {forced.bh_dim} vs {forced.lambda_dim}")
-    if bad:
-        detail += f"; mismatches {bad[:4]}"
-    return passed, detail
+            for bd in spots_up_to(5):
+                if bd in EXCEPTIONAL_BIDEGREES:
+                    continue
+                r = compare_bh_vs_lambda(bd.p, bd.d, w, presentation)
+                agreements += 1
+                if not r.equal:
+                    bad.append(((w.N, w.L), presentation, bd.p, bd.d,
+                                r.bh_dim, r.lambda_dim))
+    return _verdict(bad, f"{agreements} non-exceptional comparisons agree in both "
+                         f"presentations; {refused} exceptional spots refused; forced "
+                         f"comparison at (2,1) gives {forced.bh_dim} vs {forced.lambda_dim}",
+                    refused == len(EXCEPTIONAL_BIDEGREES))
 
 
 def check_quotient_sequence() -> Tuple[bool, str]:
@@ -523,13 +490,10 @@ def check_quotient_sequence() -> Tuple[bool, str]:
         a33 = windowed_dim("dlambda_A", 3, 3, w)
         if not (f23 == q33 == a33 == w.N + 1):
             bad.append(("chain", (w.N, w.L), f23, q33, a33))
-    passed = not bad and connecting == 6
-    detail = (f"{audits} piece audits exact; connecting map has rank one on "
-              f"{connecting} functional (2,3) pieces; windowed counts agree "
-              f"along the sequence on all {len(DEFAULT_LADDER)} windows")
-    if bad:
-        detail += f"; mismatches {bad[:4]}"
-    return passed, detail
+    return _verdict(bad, f"{audits} piece audits exact; connecting map has rank one on "
+                         f"{connecting} functional (2,3) pieces; windowed counts agree "
+                         f"along the sequence on all {len(DEFAULT_LADDER)} windows",
+                    connecting == 6)
 
 
 ALL_CHECKS: Tuple[Tuple[str, Callable[[], Tuple[bool, str]]], ...] = (

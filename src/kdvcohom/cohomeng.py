@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Bidegree, DiffPoly, Monomial, dtot
@@ -45,6 +44,7 @@ from .linwin import (
     StabilizationReport,
     Window,
     enumerate_piece_basis,
+    p_bound,
     publish_reps,
     quotient_representatives,
     rank_of,
@@ -67,11 +67,6 @@ EXCEPTIONAL_BIDEGREES = frozenset(
 
 class ExceptionalBidegreeError(ValueError):
     """Raised when comparing the two theories where they provably differ."""
-
-
-def p_bound(d: int) -> int:
-    """Largest super degree with a nonempty bidegree at standard degree d."""
-    return (1 + isqrt(1 + 8 * d)) // 2
 
 
 @dataclass(frozen=True)
@@ -119,17 +114,15 @@ def _presentation_rows(kind: str, p: int, d: int, c: int):
 
 def _node(kind: str, p: int, d: int, c: int):
     """A node's outgoing piece matrices, each with the count of its codomain
-    piece, and the incoming image its classes are taken modulo."""
+    piece, and the incoming image its classes are taken modulo (empty off
+    the grid, where every piece is)."""
     if kind.startswith("bh"):
-        image = ()
-        if min(p, d) >= 2:
-            first = d2_piece_matrix(p - 2, d - 2, c + 1)
-            image = d1_piece_matrix(p - 1, d - 1, c + 1).apply_all(first.cols)
+        first = d2_piece_matrix(p - 2, d - 2, c + 1)
+        image = d1_piece_matrix(p - 1, d - 1, c + 1).apply_all(first.cols)
         return [(d1_piece_matrix(p, d, c), c - 1), (d2_piece_matrix(p, d, c), c)], image
     # d1 lowers the count by one; the pencil differential keeps it
     op, s = (d1_piece_matrix, 1) if kind == "d1_A" else (dlambda_piece_matrix, 0)
-    image = op(p - 1, d - 1, c + s).cols if min(p, d) >= 1 else ()
-    return [(op(p, d, c), c - s)], image
+    return [(op(p, d, c), c - s)], op(p - 1, d - 1, c + s).cols
 
 
 def _cocycles(kind: str, p: int, d: int,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
@@ -40,6 +39,7 @@ from .linwin import (
     enumerate_piece_basis,
     lambda_lift,
     operator_matrix,
+    p_bound,
 )
 from .specseq import FilteredSlice
 from .varcalc import OperatorSpec, build_dp
@@ -80,17 +80,14 @@ def filtration_level(x: Union[Monomial, DiffPoly]) -> Optional[int]:
 def subcomplex_bidegrees(k: int) -> List[Bidegree]:
     """Bidegrees (p, p+k) of the subcomplex preserved by the pencil.
 
-    The exclusion d >= p(p-1)/2 is not monotonic in p, so every candidate
-    up to the quadratic bound is tested.
+    p <= p_bound(p + k) holds on an interval of super degrees p, which
+    starts at the first p with p + k >= 0 whenever it is not empty.
     """
-    if k < -1:
-        return []
-    p_bound = (3 + math.isqrt(9 + 8 * k)) // 2 + 1
     out = []
-    for p in range(p_bound + 1):
-        d = p + k
-        if d >= 0 and 2 * d >= p * (p - 1):
-            out.append(Bidegree(p, d))
+    p = max(0, -k)
+    while p <= p_bound(p + k):
+        out.append(Bidegree(p, p + k))
+        p += 1
     return out
 
 

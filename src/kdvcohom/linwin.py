@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -151,13 +151,15 @@ def _partitions(m: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(out)
 
 
+def p_bound(d: int) -> int:
+    """Largest super degree with a nonempty bidegree at standard degree d:
+    p distinct odd orders add up to at least 0 + 1 + ... + (p - 1)."""
+    return (1 + isqrt(1 + 8 * d)) // 2
+
+
 def _odd_sets(p: int, d: int):
     """Strictly increasing odd-order tuples of length p with sum <= d."""
-    if p == 0:
-        yield ()
-        return
-    # smallest possible sum is 0+1+...+(p-1)
-    if d < p * (p - 1) // 2:
+    if p > p_bound(d):
         return
     for comb in itertools.combinations(range(0, d + 1), p):
         if sum(comb) <= d:
@@ -658,24 +660,14 @@ class StabilizationReport:
 
 
 def _fit_affine(points, use_n: bool, use_l: bool):
-    """Exact fit dim = a*N + b*L + c over the given points, or None."""
+    """Exact fit dim = a*N + b*L + c over the given points, or None.
+
+    solve is exact, and an unused direction is a zero column, whose
+    coordinate it sets to zero."""
     cols = [sparse([Fraction(w.N) if use_n else F0 for w, _ in points]),
             sparse([Fraction(w.L) if use_l else F0 for w, _ in points]),
             sparse([F1] * len(points))]
-    # solve least-structure system exactly: find any solution, then verify
-    sol = solve(cols, sparse([Fraction(dim) for _, dim in points]))
-    if sol is None:
-        return None
-    a, b, c = sol
-    for (w, dim) in points:
-        val = (a * w.N if use_n else F0) + (b * w.L if use_l else F0) + c
-        if val != dim:
-            return None
-    if not use_n:
-        a = F0
-    if not use_l:
-        b = F0
-    return a, b, c
+    return solve(cols, sparse([Fraction(dim) for _, dim in points]))
 
 
 def stabilized_dims(points: Sequence[Tuple[Window, int]]) -> StabilizationReport:

@@ -85,14 +85,18 @@ FAULTS = (
           ("tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation",)),
     Fault("d1-at-own-lambda-power", "kdvpencil.py",
           "c - a), a + 1))", "c - a), a))",
-          ("tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation",)),
+          ("tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation",
+           "tests/test_kdvpencil.py::test_pencil_cohomology_is_the_sum_of_lambda_free_d2_cohomology",
+           "tests/test_kdvpencil.py::test_pencil_pages_are_the_sums_of_lambda_free_d2_pages")),
     Fault("lift-sign-dropped", "kdvpencil.py",
           "tuple((i, -x) for i, x in col)", "tuple((i, x) for i, x in col)",
           ("tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation",)),
     Fault("lift-offset-dropped", "linwin.py",
           "(i + off, x)", "(i, x)",
           ("tests/test_linwin.py::test_lambda_lift_lays_blocks_at_their_offsets",
-           "tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation")),
+           "tests/test_kdvpencil.py::test_pencil_blocks_match_the_derivation",
+           "tests/test_kdvpencil.py::test_pencil_cohomology_is_the_sum_of_lambda_free_d2_cohomology",
+           "tests/test_kdvpencil.py::test_pencil_pages_are_the_sums_of_lambda_free_d2_pages")),
     Fault("odd-repeat-test-skipped", "algebra.py",
           "                if k < n and odd[k] == s:\n"
           "                    flips = -1\n"

@@ -141,12 +141,22 @@ def test_page_counts_at_a_negative_total_are_zero():
     assert windowed_page_counts(2, 3, -5, ladder) == [0, 0]
 
 
-def test_page_counts_refuse_a_negative_index(monkeypatch):
-    def unbuilt(k, c):
-        raise AssertionError(f"piece ({k}, {c}) was built")
+def _unbuilt(k, c):
+    raise AssertionError(f"piece ({k}, {c}) was built")
 
+
+def test_page_counts_for_no_windows_build_nothing(monkeypatch):
+    monkeypatch.setattr(acceptance, "pencil_filtered_slice", _unbuilt)
+    assert all(windowed_page_counts(1, p, n - p, ()) == []
+               for n in range(7) for p in range(n + 1))
+    assert windowed_page_counts(1, 0, -1, ()) == []
+    with pytest.raises(ValueError, match="past the total 6"):
+        windowed_page_counts(1, 3, 4, ())
+
+
+def test_page_counts_refuse_a_negative_index(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(acceptance, "pencil_filtered_slice", unbuilt)
+        m.setattr(acceptance, "pencil_filtered_slice", _unbuilt)
         with pytest.raises(ValueError, match="no page E_-1"):
             windowed_page_count(-1, 1, 2, Window(2, 1))
         with pytest.raises(ValueError):

@@ -33,8 +33,10 @@ from kdvcohom.kdvpencil import (
     u_weight,
 )
 from kdvcohom import kdvpencil, varcalc
-from kdvcohom.linwin import Window, enumerate_piece_basis, operator_matrix
-from kdvcohom.specseq import homology_at
+from kdvcohom.cohomeng import piece_homology, spots_up_to
+from kdvcohom.linwin import Window, enumerate_piece_basis, operator_matrix, rank_of
+from kdvcohom.specseq import FilteredSlice, homology_at, page
+from kdvcohom.varcalc import dtot_piece_matrix
 
 from test_algebra import derivation_reference, st_poly
 
@@ -264,6 +266,66 @@ def test_pencil_blocks_match_the_derivation():
                 assert repr(mat.cols) == repr(want.cols), (bd, c)
                 pieces += 1
     assert pieces == 290
+
+
+# The oracle of the substitution v = u - l.  P2 - l P1 = (u - l) t0 t1 / 2,
+# and v has the jets of u, so v = u - l carries the pencil differential on
+# the piece (p, d, c) to d2 on the sum over a of l^a times the l-free piece
+# (p, d, c - a); it keeps jet orders, filtration levels and dtot.  The l-free
+# side is built from d2 and dtot blocks alone: no lambda_lift, no d1 block.
+# It cannot see a flipped sign, since d2 + l d1 is d2 again through v = u + l.
+
+
+def _d2_homology(p, d, c, functionals):
+    """dim H(d2) on the l-free piece (p, d, c), modulo dtot when
+    functionals is set, from ranks alone."""
+    def rels(p, d):
+        return list(dtot_piece_matrix(p, d, c, False).cols) if functionals else []
+
+    def rank_into(p, d):
+        return rank_of([*d2_piece_matrix(p - 1, d - 1, c).cols, *rels(p, d)]) - rank_of(rels(p, d))
+
+    size = len(enumerate_piece_basis(Bidegree(p, d), c, False)) - rank_of(rels(p, d))
+    return size - rank_into(p + 1, d + 1) - rank_into(p, d)
+
+
+def _d2_slice(k, c):
+    """The l-free piece of count c with d2, filtered as pencil_filtered_slice
+    filters the pencil pieces."""
+    spots = {bd.d: bd for bd in subcomplex_bidegrees(k)}
+
+    def piece(n):
+        basis = enumerate_piece_basis(spots[n], c, False)
+        return basis, tuple(n - m.max_jet() for m in basis.monomials)
+
+    return FilteredSlice(tuple(spots), piece,
+                         lambda n: d2_piece_matrix(spots[n].p, n, c), f"d2 k={k} c={c}")
+
+
+def test_pencil_cohomology_is_the_sum_of_lambda_free_d2_cohomology():
+    nonzero = {"dlambda_A": 0, "dlambda_F": 0}
+    for bd in spots_up_to(5):
+        for c in range(7):
+            for kind in ("dlambda_A", "dlambda_F") if c <= 5 else ("dlambda_A",):
+                want = sum(_d2_homology(*bd, c - a, kind == "dlambda_F") for a in range(c + 1))
+                assert piece_homology(kind, *bd, c).dim == want, (kind, bd, c)
+                nonzero[kind] += want > 0
+    assert nonzero == {"dlambda_A": 14, "dlambda_F": 18}
+
+
+def test_pencil_pages_are_the_sums_of_lambda_free_d2_pages():
+    entries = 0
+    for k in range(-1, 4):
+        for c in range(6):
+            fs = pencil_filtered_slice(k, c)
+            parts = [_d2_slice(k, c - a) for a in range(c + 1)]
+            for n in (n for n in fs.degrees if n <= 7):
+                for p in sorted(set(fs.levels(n))):
+                    for r in range(4):
+                        want = sum(page(part, r, p, n - p).dim for part in parts)
+                        assert page(fs, r, p, n - p).dim == want, (k, c, n, p, r)
+                        entries += 1
+    assert entries == 960
 
 
 def test_pencil_slice_applies_no_pencil_to_monomials(monkeypatch):
